@@ -12,6 +12,16 @@ movement of ``y``'s rate or fair share per unit of perturbation magnitude,
 for the chosen perturbation direction. The one-sided derivative with the
 conventional sign is ``gradient[y] / direction`` and is exposed as
 ``derivative``.
+
+Both calls run on the structure's cached integer index
+(``GradientGraph.index``), built on the first call for a solution. With
+``V`` vertices, ``E`` edges and diameter ``D``, ``forward_grad`` costs
+O((V + E) log V) per target: each vertex is visited once, each edge is
+relaxed at most once and pushes at most one heap entry (the flow rule also
+takes a minimum over the flow's bottleneck links, which are few per flow in
+practice). ``gradient_bound`` costs O(D * E * V / 64) machine-word
+operations: ``V / 64`` words of source bitsets carried along each edge in
+each of at most ``D`` rounds.
 """
 from __future__ import annotations
 
@@ -21,6 +31,10 @@ from typing import Mapping
 
 from .errors import UnknownVertexError
 from .solver import BottleneckSolution
+
+# Sources per breadth-first block in ``gradient_bound``: bounds the bitsets
+# at 1024 bits per vertex, so memory stays flat as the structure grows.
+BOUND_SOURCE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -81,72 +95,88 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
     gradient of exactly zero.
     """
     graph = solution.graph
-    is_link = solution.is_link(p.target)
-    if not is_link and not solution.is_flow(p.target):
+    ix = graph.index
+    t = ix.index_of.get(p.target)
+    if t is None:
         raise UnknownVertexError(p.target)
+    ids, succ, rank, n_links = ix.ids, ix.succ, ix.rank, ix.n_links
+    bottleneck_links = ix.bottleneck_links
+    fair_share, rate = solution.fair_share, solution.rate
     sign = float(p.direction)
 
-    link_drift = {l: 0.0 for l in graph.link_ids}
-    flow_drift = {f: 0.0 for f in graph.flow_ids}
-    inflow = {l: 0.0 for l in graph.link_ids}
-    inflow_from: dict[str, list[str]] = {l: [] for l in graph.link_ids}
-    split_count: dict[str, int] = {}
+    n = len(ids)
+    drift = [0.0] * n
+    inflow = [0.0] * n_links
+    inflow_from: list[list[str]] = [[] for _ in range(n_links)]
+    split_count: dict[int, int] = {}
+    # Bottlenecked flows of each link not visited yet (the link-rule split).
+    unvisited = list(ix.n_bottlenecked)
+    visited = [False] * n
+    # Smallest drift pushed per vertex. The value and id parts of a vertex's
+    # key are fixed, so it is first popped at this drift and a push with a
+    # drift no smaller could only ever pop as a stale entry.
+    pushed = [float("inf")] * n
+    visit_order: list[int] = []
 
-    heap: list[tuple[float, float, str]] = []
-    visited: set[str] = set()
-    visit_order: list[str] = []
-
-    if is_link:
-        succ = graph.bottlenecked_flows(p.target)
-        inflow[p.target] = sign
+    if t < n_links:
+        count = ix.n_bottlenecked[t]
         # The capacity change splits evenly over the bottlenecked flows; a
         # link that bottlenecks no flow absorbs the perturbation silently.
-        link_drift[p.target] = sign / len(succ) if succ else 0.0
-        split_count[p.target] = len(succ)
-        heapq.heappush(
-            heap, (solution.fair_share[p.target], link_drift[p.target], p.target)
-        )
+        drift[t] = sign / count if count else 0.0
+        split_count[t] = count
+        value = fair_share[p.target]
     else:
-        flow_drift[p.target] = sign
-        heapq.heappush(heap, (solution.rate[p.target], sign, p.target))
+        drift[t] = sign
+        value = rate[p.target]
+    pushed[t] = drift[t]
+    heap = [(value, drift[t], rank[t], t)]
 
     while heap:
-        _value, _drift, y = heapq.heappop(heap)
-        if y in visited:
+        y = heapq.heappop(heap)[3]
+        if visited[y]:
             continue
-        visited.add(y)
+        visited[y] = True
         visit_order.append(y)
-        d_y = link_drift[y] if y in link_drift else flow_drift[y]
+        for l in bottleneck_links[y]:
+            unvisited[l] -= 1
+        d_y = drift[y]
         if d_y == 0.0:
             continue  # zero drifts do not propagate
-        for y2 in graph.successors(y):
-            if y2 in visited:
-                continue
-            if y2 in flow_drift:
+        # The structure is bipartite: a link's successors are flows, a
+        # flow's successors are links.
+        if y < n_links:
+            for f in succ[y]:
+                if visited[f]:
+                    continue
                 # Flow rule: minimum drift over the flow's bottleneck links.
-                d = min(link_drift[l] for l in graph.bottleneck_links(y2))
-                flow_drift[y2] = d
-                heapq.heappush(heap, (solution.rate[y2], d, y2))
-            else:
+                d = min([drift[l] for l in bottleneck_links[f]])
+                drift[f] = d
+                if d < pushed[f]:
+                    pushed[f] = d
+                    heapq.heappush(heap, (rate[ids[f]], d, rank[f], f))
+        else:
+            y_id = ids[y]
+            for l in succ[y]:
+                if visited[l]:
+                    continue
                 # Link rule: accumulate inflow, split over what remains.
-                inflow[y2] -= d_y
-                inflow_from[y2].append(y)
-                remaining = [
-                    s for s in graph.bottlenecked_flows(y2) if s not in visited
-                ]
-                split_count[y2] = len(remaining)
-                link_drift[y2] = inflow[y2] / len(remaining) if remaining else 0.0
-                heapq.heappush(
-                    heap, (solution.fair_share[y2], link_drift[y2], y2)
-                )
+                inflow[l] -= d_y
+                inflow_from[l].append(y_id)
+                remaining = unvisited[l]
+                split_count[l] = remaining
+                d = inflow[l] / remaining if remaining else 0.0
+                drift[l] = d
+                if d < pushed[l]:
+                    pushed[l] = d
+                    heapq.heappush(heap, (fair_share[ids[l]], d, rank[l], l))
 
     return GradientResult(
         perturbation=p,
-        link_gradient=link_drift,
-        flow_gradient=flow_drift,
-        visit_order=tuple(visit_order),
-        link_inflow_from={l: tuple(v) for l, v in inflow_from.items() if v},
-        link_split_count=split_count,
+        link_gradient=dict(zip(graph.link_ids, drift)),
+        flow_gradient=dict(zip(graph.flow_ids, drift[n_links:])),
+        visit_order=tuple(map(ids.__getitem__, visit_order)),
+        link_inflow_from={ids[l]: tuple(v) for l, v in enumerate(inflow_from) if v},
+        link_split_count={ids[l]: c for l, c in split_count.items()},
     )
 
 
@@ -156,33 +186,41 @@ def gradient_bound(solution: BottleneckSolution) -> float:
     ``d`` is the maximum in/out degree over the full structure (backward
     edges included) and ``D`` its diameter: the longest shortest path over
     ordered vertex pairs that are connected at all.
+
+    ``D`` comes from a breadth-first search from every source at once, in
+    blocks of ``BOUND_SOURCE_BLOCK`` sources: each vertex holds a bitset of
+    the sources that reached it, and each round ORs a vertex's newly gained
+    sources into its successors. The last round in which any bitset grows
+    is the largest shortest-path distance from the block.
     """
-    graph = solution.graph
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices()}
-    indeg: dict[str, int] = {v: 0 for v in graph.vertices()}
-    for l, f in graph.bottleneck_edges:
-        succ[l].append(f)
-        succ[f].append(l)
-        indeg[f] += 1
-        indeg[l] += 1
-    for f, l in graph.traversal_edges:
-        succ[f].append(l)
-        indeg[l] += 1
-    d = 0
-    for v in graph.vertices():
-        d = max(d, len(succ[v]), indeg[v])
+    succ = solution.graph.index.succ
+    n = len(succ)
+    indeg = [0] * n
+    for out in succ:
+        for w in out:
+            indeg[w] += 1
+    d = max((max(len(out), indeg[v]) for v, out in enumerate(succ)), default=0)
     diameter = 0
-    for source in graph.vertices():
-        dist = {source: 0}
-        frontier = [source]
+    for base in range(0, n, BOUND_SOURCE_BLOCK):
+        reach = [0] * n
+        frontier: dict[int, int] = {}
+        for s in range(base, min(base + BOUND_SOURCE_BLOCK, n)):
+            reach[s] = frontier[s] = 1 << (s - base)
+        rounds = 0
         while frontier:
-            nxt = []
-            for v in frontier:
+            rounds += 1
+            # Round ``rounds`` adds exactly the sources at that distance:
+            # ``frontier`` holds the bits gained one round earlier.
+            gained: dict[int, int] = {}
+            while frontier:  # emptied as it goes, to keep the peak low
+                v, bits = frontier.popitem()
                 for w in succ[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) > 1:
-            diameter = max(diameter, max(dist.values()))
+                    old = reach[w]
+                    new = old | bits
+                    if new != old:
+                        reach[w] = new
+                        gained[w] = gained.get(w, 0) | (new ^ old)
+            frontier = gained
+            if frontier and rounds > diameter:
+                diameter = rounds
     return float(d) ** (diameter / 4.0)

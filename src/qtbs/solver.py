@@ -9,11 +9,33 @@ links).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from . import _kernel
 from .errors import SolverError, UnknownVertexError
 from .model import EPS, FlowId, LinkId, Network, interned
+
+
+@dataclass(frozen=True)
+class GraphIndex:
+    """Integer-indexed form of a ``GradientGraph``.
+
+    Vertex ``i`` is ``ids[i]``: links first, then flows, as in
+    ``GradientGraph.vertices()``; ``i < n_links`` is a link.
+    """
+
+    ids: tuple[str, ...]
+    index_of: Mapping[str, int]
+    n_links: int
+    # Out-neighbours in ascending id order, as ``GradientGraph.successors``.
+    succ: tuple[tuple[int, ...], ...]
+    # A flow's bottleneck links in ascending id order; empty for links.
+    bottleneck_links: tuple[tuple[int, ...], ...]
+    # Per link, the number of flows it bottlenecks.
+    n_bottlenecked: tuple[int, ...]
+    # Position of each vertex in ascending id order over all vertices.
+    rank: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,28 @@ class GradientGraph:
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(self.link_ids) + tuple(self.flow_ids)
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        """The integer-indexed form, built on first use and kept."""
+        ids = self.vertices()
+        index = {v: i for i, v in enumerate(ids)}
+        succ = tuple(tuple(index[w] for w in self._succ[v]) for v in ids)
+        n_links = len(self.link_ids)
+        rank = [0] * len(ids)
+        for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+            rank[i] = r
+        return GraphIndex(
+            ids=ids,
+            index_of=index,
+            n_links=n_links,
+            succ=succ,
+            bottleneck_links=((),) * n_links + tuple(
+                tuple(index[l] for l in self._pred_links[f]) for f in self.flow_ids
+            ),
+            n_bottlenecked=tuple(len(succ[l]) for l in range(n_links)),
+            rank=tuple(rank),
+        )
 
     def successors(self, vertex: str) -> tuple[str, ...]:
         """All out-neighbours (bottleneck, backward and traversal edges)."""
@@ -181,18 +225,21 @@ def region_of_influence(solution: BottleneckSolution, vertex: str) -> set[str]:
 
     Perturbations of ``vertex`` can only affect members of this set.
     """
-    graph = solution.graph
-    graph.successors(vertex)  # raises UnknownVertexError for unknown ids
-    seen: set[str] = set()
-    stack = [vertex]
+    ix = solution.graph.index
+    start = ix.index_of.get(vertex)
+    if start is None:
+        raise UnknownVertexError(vertex)
+    succ = ix.succ
+    seen: set[int] = set()
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for w in graph.successors(v):
+        for w in succ[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    seen.discard(vertex)
-    return seen
+    seen.discard(start)
+    ids = ix.ids
+    return {ids[i] for i in seen}
 
 
 def levels(solution: BottleneckSolution) -> Mapping[str, int]:

@@ -1,6 +1,13 @@
+import heapq
+import random
+
 import pytest
 
+from conftest import FIXTURES, load
 from qtbs import (
+    Flow,
+    Link,
+    Network,
     Perturbation,
     UnknownVertexError,
     fd_gradient,
@@ -11,6 +18,7 @@ from qtbs import (
     region_of_influence,
     suggest_delta,
 )
+from qtbs.gradients import BOUND_SOURCE_BLOCK
 
 
 def test_perturbation_direction_validated():
@@ -162,3 +170,181 @@ def test_link_rule_checksum():
                 assert given_up + split * res.link_gradient[l] == pytest.approx(
                     0.0, abs=1e-9
                 )
+
+
+def test_index_is_built_on_first_use_and_kept(chain):
+    sol = gradient_graph(chain)
+    assert "index" not in vars(sol.graph)
+    forward_grad(sol, Perturbation("l1", -1))
+    ix = sol.graph.index
+    assert ix is sol.graph.index
+    assert ix.ids == sol.graph.vertices()
+    assert [ix.ids[w] for w in ix.succ[ix.index_of["l1"]]] == list(sol.graph.successors("l1"))
+
+
+def _reference_bound(solution):
+    """``d ** (D / 4)`` by its definition: one plain BFS per source."""
+    graph = solution.graph
+    succ = {v: [] for v in graph.vertices()}
+    indeg = {v: 0 for v in graph.vertices()}
+    for l, f in graph.bottleneck_edges:
+        succ[l].append(f)
+        succ[f].append(l)
+        indeg[f] += 1
+        indeg[l] += 1
+    for f, l in graph.traversal_edges:
+        succ[f].append(l)
+        indeg[l] += 1
+    d = max((max(len(succ[v]), indeg[v]) for v in graph.vertices()), default=0)
+    diameter = 0
+    for source in graph.vertices():
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in succ[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        diameter = max(diameter, max(dist.values()))
+    return float(d) ** (diameter / 4.0)
+
+
+def _chain(n):
+    """Links l0..l{n-1}, each flow crossing two neighbours: a long diameter."""
+    links = tuple(Link(f"l{i:04d}", 10.0 + i) for i in range(n))
+    flows = tuple(Flow(f"f{i:04d}", (f"l{i:04d}", f"l{i + 1:04d}")) for i in range(n - 1))
+    return Network(links, flows)
+
+
+def test_bound_matches_definition_on_random_networks():
+    for seed in range(100):
+        sol = gradient_graph(random_network(seed, max_links=10, max_flows=16, max_path_len=4))
+        assert gradient_bound(sol) == _reference_bound(sol), seed
+
+
+def test_bound_matches_definition_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.json")):
+        sol = gradient_graph(load(path.name))
+        assert gradient_bound(sol) == _reference_bound(sol), path.name
+
+
+def test_bound_matches_definition_with_untraversed_link():
+    net = Network(
+        (Link("l1", 10.0), Link("l2", 4.0), Link("l3", 6.0)),
+        (Flow("f1", ("l1", "l2")), Flow("f2", ("l1",))),
+    )
+    sol = gradient_graph(net)
+    assert sol.graph.successors("l3") == ()
+    assert gradient_bound(sol) == _reference_bound(sol)
+
+
+def test_bound_matches_definition_across_source_blocks():
+    sol = gradient_graph(_chain(600))
+    assert len(sol.graph.vertices()) > BOUND_SOURCE_BLOCK
+    assert gradient_bound(sol) == _reference_bound(sol)
+
+
+def _reference_forward_grad(solution, p):
+    """The gradient propagation on string ids, with every heap push kept."""
+    graph = solution.graph
+    link_drift = {l: 0.0 for l in graph.link_ids}
+    flow_drift = {f: 0.0 for f in graph.flow_ids}
+    inflow = {l: 0.0 for l in graph.link_ids}
+    inflow_from = {l: [] for l in graph.link_ids}
+    split_count = {}
+    sign = float(p.direction)
+    if solution.is_link(p.target):
+        succ = graph.bottlenecked_flows(p.target)
+        inflow[p.target] = sign
+        link_drift[p.target] = sign / len(succ) if succ else 0.0
+        split_count[p.target] = len(succ)
+        heap = [(solution.fair_share[p.target], link_drift[p.target], p.target)]
+    else:
+        flow_drift[p.target] = sign
+        heap = [(solution.rate[p.target], sign, p.target)]
+    visited, visit_order = set(), []
+    while heap:
+        _, _, y = heapq.heappop(heap)
+        if y in visited:
+            continue
+        visited.add(y)
+        visit_order.append(y)
+        d_y = link_drift[y] if y in link_drift else flow_drift[y]
+        if d_y == 0.0:
+            continue
+        for y2 in graph.successors(y):
+            if y2 in visited:
+                continue
+            if y2 in flow_drift:
+                d = min(link_drift[l] for l in graph.bottleneck_links(y2))
+                flow_drift[y2] = d
+                heapq.heappush(heap, (solution.rate[y2], d, y2))
+            else:
+                inflow[y2] -= d_y
+                inflow_from[y2].append(y)
+                remaining = [s for s in graph.bottlenecked_flows(y2) if s not in visited]
+                split_count[y2] = len(remaining)
+                link_drift[y2] = inflow[y2] / len(remaining) if remaining else 0.0
+                heapq.heappush(heap, (solution.fair_share[y2], link_drift[y2], y2))
+    return (
+        link_drift,
+        flow_drift,
+        tuple(visit_order),
+        {l: tuple(v) for l, v in inflow_from.items() if v},
+        split_count,
+    )
+
+
+def _sweep_networks():
+    for seed in range(40):
+        yield seed, random_network(seed, max_links=12, max_flows=24, max_path_len=5)
+    # Two capacities only: many links tie on fair share, so the drift and id
+    # parts of the heap key decide the visit order.
+    for seed in range(60):
+        net = random_network(seed, max_links=12, max_flows=24, max_path_len=5)
+        rng = random.Random(seed)
+        links = tuple(Link(l.id, rng.choice((12.0, 24.0))) for l in net.links)
+        yield f"tied{seed}", Network(links, net.flows)
+
+
+def _all_targets(net):
+    for v in [l.id for l in net.links] + [f.id for f in net.flows]:
+        for d in (-1, 1):
+            yield Perturbation(v, d)
+
+
+def test_forward_grad_matches_unpruned_reference():
+    for name, net in _sweep_networks():
+        sol = gradient_graph(net)
+        for p in _all_targets(net):
+            res = forward_grad(sol, p)
+            got = (
+                res.link_gradient,
+                res.flow_gradient,
+                res.visit_order,
+                res.link_inflow_from,
+                res.link_split_count,
+            )
+            assert got == _reference_forward_grad(sol, p), (name, p)
+
+
+def test_forward_grad_visit_order_invariants():
+    for name, net in _sweep_networks():
+        sol = gradient_graph(net)
+        for p in _all_targets(net):
+            res = forward_grad(sol, p)
+            order = res.visit_order
+            assert order[0] == p.target
+            assert len(set(order)) == len(order), (name, p)
+            values = [sol.value(v) for v in order]
+            # Exact: a successor's rate or fair share never undercuts its
+            # predecessor's on these networks (no near-ties within eps).
+            assert values == sorted(values), (name, p)
+            visited = set(order)
+            gradients = list(res.link_gradient.items()) + list(res.flow_gradient.items())
+            for v, g in gradients:
+                if g != 0.0:
+                    assert v in visited, (name, p, v)
