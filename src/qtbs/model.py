@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (
@@ -82,7 +84,6 @@ class Network:
     routers: tuple[RouterId, ...] = ()
     _link_by_id: Mapping[LinkId, Link] = field(init=False, repr=False, compare=False)
     _flow_by_id: Mapping[FlowId, Flow] = field(init=False, repr=False, compare=False)
-    _flows_on: Mapping[LinkId, tuple[FlowId, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         links = tuple(sorted(self.links, key=lambda l: l.id))
@@ -92,14 +93,16 @@ class Network:
         object.__setattr__(self, "routers", tuple(sorted(set(self.routers))))
         object.__setattr__(self, "_link_by_id", {l.id: l for l in links})
         object.__setattr__(self, "_flow_by_id", {f.id: f for f in flows})
-        flows_on: dict[LinkId, list[FlowId]] = {l.id: [] for l in links}
-        for f in flows:
+
+    @cached_property
+    def _flows_on(self) -> Mapping[LinkId, tuple[FlowId, ...]]:
+        """Flows per link, built on first use: solves never read it."""
+        flows_on: dict[LinkId, list[FlowId]] = {l.id: [] for l in self.links}
+        for f in self.flows:
             for lid in f.path:
                 if lid in flows_on:
                     flows_on[lid].append(f.id)
-        object.__setattr__(
-            self, "_flows_on", {lid: tuple(fids) for lid, fids in flows_on.items()}
-        )
+        return {lid: tuple(fids) for lid, fids in flows_on.items()}
 
     # -- lookups ---------------------------------------------------------
 
@@ -303,12 +306,36 @@ def interned(network: Network):
 
     Returns (link_ids, flow_ids, caps, flow_links, link_flows) where ids are
     sorted ascending and adjacency lists hold sorted dense indices.
+
+    ``Network`` construction is permissive, so this walk also rejects, with a
+    typed error, every network the kernel would solve to a silently wrong
+    answer: duplicate link or flow ids (a flow id equal to a link id
+    included), a capacity that is not finite and strictly positive, an empty
+    path, a repeated link in a path, and a link that does not exist.
     """
     link_ids = [l.id for l in network.links]
     flow_ids = [f.id for f in network.flows]
+    ids = link_ids + flow_ids  # links and flows share one vertex namespace
+    if len(set(ids)) != len(ids):
+        repeated = next(i for i, n in Counter(ids).items() if n > 1)
+        raise DuplicateIdError(f"duplicate link or flow id {repeated!r}")
     lidx = {lid: i for i, lid in enumerate(link_ids)}
     caps = [l.capacity for l in network.links]
-    flow_links = [sorted(lidx[lid] for lid in f.path) for f in network.flows]
+    for lid, cap in zip(link_ids, caps):
+        if not 0.0 < cap < math.inf:  # also false for NaN
+            raise CapacityError(
+                f"link {lid!r}: capacity must be finite and strictly positive, got {cap}"
+            )
+    try:
+        flow_links = [sorted([lidx[lid] for lid in f.path]) for f in network.flows]
+    except KeyError:
+        fid, lid = next((f.id, lid) for f in network.flows for lid in f.path
+                        if lid not in lidx)
+        raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}") from None
+    for fid, path in zip(flow_ids, flow_links):
+        if len(set(path)) != len(path) or not path:
+            problem = "repeated link in path" if path else "empty path"
+            raise NetworkFormatError(f"flow {fid!r}: {problem}")
     link_flows: list[list[int]] = [[] for _ in link_ids]
     for fi, path in enumerate(flow_links):
         for li in path:

@@ -254,10 +254,12 @@ class TaperReport:
 
 
 def _scaled(network: Network, scale_links: Sequence[LinkId], cap: float) -> Network:
-    out = network
-    for lid in scale_links:
-        out = out.with_capacity(lid, cap)
-    return out
+    """A copy of the network with every scaled link's capacity set to ``cap``."""
+    scaled = set(scale_links)
+    links = tuple(
+        Link(l.id, cap, l.src, l.dst) if l.id in scaled else l for l in network.links
+    )
+    return Network(links, network.flows, network.routers)
 
 
 def _rate_groups(solution: BottleneckSolution, eps: float):

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,10 @@ from qtbs import (
     Link,
     Network,
     NetworkFormatError,
+    QtbsError,
     ReservedIdError,
     UnknownLinkError,
+    gradient_graph,
     parse_network,
     serialize_network,
     validate,
@@ -143,3 +147,87 @@ def test_round_trip_random(cap_by_idx, raw_paths, with_endpoints):
     )
     net = Network(links, flows)
     assert parse_network(serialize_network(net)) == net
+
+
+# -- the solve's own checks on networks built through the library -------------
+
+
+def _solve(links, flows):
+    return gradient_graph(Network(tuple(links), tuple(flows)))
+
+
+def test_solve_rejects_repeated_link_in_path():
+    # Solved as given, f1 would count twice on l1 and get 3.33 instead of 5.
+    with pytest.raises(NetworkFormatError, match="repeated link"):
+        _solve([Link("l1", 10.0)], [Flow("f1", ("l1", "l1")), Flow("f2", ("l1",))])
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solve_rejects_bad_capacity(capacity):
+    with pytest.raises(CapacityError, match="l2"):
+        _solve([Link("l1", 4.0), Link("l2", capacity)],
+               [Flow("f1", ("l1", "l2")), Flow("f2", ("l2",))])
+
+
+def test_solve_rejects_duplicate_flow_id():
+    with pytest.raises(DuplicateIdError, match="f1"):
+        _solve([Link("l1", 4.0)], [Flow("f1", ("l1",)), Flow("f1", ("l1",))])
+
+
+def test_solve_rejects_duplicate_link_id():
+    with pytest.raises(DuplicateIdError, match="l1"):
+        _solve([Link("l1", 4.0), Link("l1", 8.0)], [Flow("f1", ("l1",))])
+
+
+def test_solve_rejects_flow_id_equal_to_link_id():
+    with pytest.raises(DuplicateIdError, match="x"):
+        _solve([Link("x", 4.0)], [Flow("x", ("x",))])
+
+
+def test_solve_rejects_unknown_link_with_typed_error():
+    with pytest.raises(UnknownLinkError, match="l9") as info:
+        _solve([Link("l1", 4.0)], [Flow("f1", ("l1", "l9"))])
+    assert not isinstance(info.value, KeyError)
+
+
+def test_solve_rejects_empty_path():
+    with pytest.raises(NetworkFormatError, match="empty path"):
+        _solve([Link("l1", 4.0)], [Flow("f1", ())])
+
+
+# -- parse_network rejects everything validate reports ------------------------
+
+_LINK = {"id": "l1", "capacity": 4.0}
+_FLOW = {"id": "f1", "links": ["l1"]}
+VIOLATING_DOCS = {
+    "duplicate-id": [
+        {"links": [_LINK, {"id": "l1", "capacity": 8.0}], "flows": [_FLOW]},
+        {"links": [_LINK], "flows": [_FLOW, _FLOW]},
+        {"links": [_LINK], "flows": [{"id": "l1", "links": ["l1"]}]},
+    ],
+    "bad-capacity": [
+        {"links": [{"id": "l1", "capacity": c}], "flows": [_FLOW]}
+        for c in (0.0, -1.0, float("inf"), float("nan"))
+    ],
+    "empty-path": [{"links": [_LINK], "flows": [{"id": "f1", "links": []}]}],
+    "repeated-link": [{"links": [_LINK], "flows": [{"id": "f1", "links": ["l1", "l1"]}]}],
+    "unknown-link": [{"links": [_LINK], "flows": [{"id": "f1", "links": ["l9"]}]}],
+    "reserved-id": [{"links": [_LINK], "flows": [{"id": "__probe__", "links": ["l1"]}]}],
+}
+
+
+def test_parse_rejects_every_violation_code():
+    # The CLI relies on this and does not run ``validate`` after parsing.
+    codes = set(re.findall(r'Violation\("([a-z-]+)"', inspect.getsource(validate)))
+    assert set(VIOLATING_DOCS) == codes
+    for code, docs in VIOLATING_DOCS.items():
+        for doc in docs:
+            net = Network(
+                tuple(Link(l["id"], l["capacity"]) for l in doc["links"]),
+                tuple(Flow(f["id"], tuple(f["links"])) for f in doc["flows"]),
+            )
+            assert code in {v.code for v in validate(net)}, doc
+            with pytest.raises(QtbsError):
+                parse_network(doc)
+            with pytest.raises(QtbsError):
+                parse_network(json.dumps(doc))

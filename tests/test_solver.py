@@ -1,10 +1,13 @@
 import pytest
 
+from conftest import FIXTURES, load
 from qtbs import (
     EPS,
     Flow,
+    GradientGraph,
     Link,
     Network,
+    SolverError,
     UnknownVertexError,
     flow_levels,
     gradient_graph,
@@ -12,6 +15,7 @@ from qtbs import (
     random_network,
     region_of_influence,
 )
+from qtbs.solver import _levels
 
 TOP_FLOWS = ["f1", "f2", "f3", "f4", "f5", "f7", "f8", "f10", "f13", "f14", "f15", "f16"]
 
@@ -191,3 +195,86 @@ def test_random_networks_solve_clean():
         for link in net.links:
             load = sum(sol.rate[f] for f in net.flows_on(link.id))
             assert load <= link.capacity + 1e-6
+
+
+# -- lazily built views ------------------------------------------------------
+
+STRING_VIEWS = ("bottleneck_edges", "traversal_edges", "_succ", "_pred_links", "index")
+
+
+def _solutions():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.name, gradient_graph(load(path.name))
+    for seed in range(100):
+        yield seed, gradient_graph(random_network(seed, max_links=12, max_flows=30))
+
+
+def _eager_views(sol):
+    """The string-keyed structure as it was built eagerly in every solve."""
+    graph, net = sol.graph, sol.network
+    ids = [l.id for l in net.links], [f.id for f in net.flows]
+    bneck = tuple((ids[0][l], ids[1][f]) for l, f in graph.bottleneck_pairs)
+    trav = tuple((ids[1][f], ids[0][l]) for f, l in graph.traversal_pairs)
+    succ = {v: [] for v in ids[0] + ids[1]}
+    pred = {f: [] for f in ids[1]}
+    for l, f in bneck:
+        succ[l].append(f)
+        succ[f].append(l)
+        pred[f].append(l)
+    for f, l in trav:
+        succ[f].append(l)
+    return {
+        "bottleneck_edges": bneck,
+        "traversal_edges": trav,
+        "_succ": {v: tuple(sorted(set(e))) for v, e in succ.items()},
+        "_pred_links": {f: tuple(sorted(set(e))) for f, e in pred.items()},
+        "bottlenecks_of": {f: tuple(sorted(ls)) for f, ls in pred.items()},
+    }
+
+
+def _reference_levels(graph):
+    """Longest-path depth over bottleneck and traversal edges, by repeated
+    relaxation on string keys until nothing changes."""
+    level = {v: 0 for v in graph.vertices()}
+    edges = list(graph.bottleneck_edges) + list(graph.traversal_edges)
+    for _ in range(len(level) + 1):
+        changed = False
+        for a, b in edges:
+            if level[b] < level[a] + 1:
+                level[b] = level[a] + 1
+                changed = True
+        if not changed:
+            return level
+    raise AssertionError("forward cycle")
+
+
+def test_solve_builds_no_string_view(b4):
+    sol = gradient_graph(b4)
+    built = set(vars(sol.graph)) | set(vars(sol))
+    assert built.isdisjoint(STRING_VIEWS + ("level", "bottlenecks_of"))
+    sol.rate["f1"]
+    assert set(vars(sol.graph)).isdisjoint(STRING_VIEWS)
+
+
+def test_views_equal_eager_build_and_are_kept():
+    for name, sol in _solutions():
+        eager = _eager_views(sol)
+        graph = sol.graph
+        for view in ("bottleneck_edges", "traversal_edges", "_succ", "_pred_links"):
+            assert getattr(graph, view) == eager[view], (name, view)
+            assert getattr(graph, view) is getattr(graph, view)
+        assert sol.bottlenecks_of == eager["bottlenecks_of"], name
+        assert list(sol.bottlenecks_of) == list(eager["bottlenecks_of"]), name
+
+
+def test_integer_levels_match_string_reference():
+    for name, sol in _solutions():
+        assert sol.level == _reference_levels(sol.graph), name
+        assert list(sol.level) == list(sol.graph.vertices()), name
+        assert sol.level is sol.level
+
+
+def test_levels_reject_a_forward_cycle():
+    cyclic = GradientGraph(("l1",), ("f1",), ((0, 0),), ((0, 0),))
+    with pytest.raises(SolverError):
+        _levels(cyclic)
