@@ -52,7 +52,6 @@ from .solver import (
     GradientGraph,
     flow_levels,
     gradient_graph,
-    levels,
     region_of_influence,
 )
 from .export import dot_graph
@@ -99,7 +98,6 @@ __all__ = [
     "gradient_bound",
     "gradient_graph",
     "jain_index",
-    "levels",
     "max_rate_path",
     "min_hop_path",
     "parse_network",

@@ -23,7 +23,7 @@ from .model import EPS, Network, parse_network
 # reports. Kept importable as ``qtbs.cli.validate``, the entry point that
 # perfbench's tracer wraps for its ``model.validate_ms`` layer.
 from .model import validate  # noqa: F401
-from .planner import accelerate_flow, taper_fold
+from .planner import accelerate_flow, apply_plan, taper_fold
 from .routing import max_rate_path, min_hop_path, rate_if_routed
 from .solver import gradient_graph
 
@@ -167,10 +167,7 @@ def cmd_shape(args) -> int:
     net = _load(args.file)
     low = [f.strip() for f in args.low_priority.split(",") if f.strip()]
     plan = accelerate_flow(net, args.target, low, args.floor, _eps())
-    from .planner import apply_plan
-    from .solver import gradient_graph as solve
-
-    final = solve(apply_plan(net, plan), _eps())
+    final = gradient_graph(apply_plan(net, plan), _eps())
     payload = {
         "target": plan.target,
         "low_priority": list(plan.low_priority),

@@ -150,9 +150,13 @@ _FLOW_KEYS = {"id", "links"}
 _TOP_KEYS = {"routers", "links", "flows"}
 
 
-def _require(cond: bool, exc_type, message: str):
-    if not cond:
-        raise exc_type(message)
+def check_capacity(link_id: LinkId, capacity: float) -> None:
+    """Raise ``CapacityError`` unless ``capacity`` is finite and strictly positive."""
+    if not 0.0 < capacity < math.inf:  # also false for NaN
+        raise CapacityError(
+            f"link {link_id!r}: capacity must be finite and strictly positive, "
+            f"got {capacity}"
+        )
 
 
 def parse_network(document: str | bytes | dict) -> Network:
@@ -160,7 +164,8 @@ def parse_network(document: str | bytes | dict) -> Network:
 
     Accepts a JSON string/bytes or an already-decoded dict. Unknown fields
     are rejected, as are duplicate ids, unknown links in flow paths,
-    non-positive or non-finite capacities, and reserved identifiers.
+    non-positive or non-finite capacities, and reserved identifiers. Error
+    messages are formatted only when a check fails.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -169,77 +174,87 @@ def parse_network(document: str | bytes | dict) -> Network:
             raise NetworkFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = document
-    _require(isinstance(doc, dict), NetworkFormatError, "top level must be an object")
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
-    _require(not unknown, NetworkFormatError, f"unknown top-level fields: {sorted(unknown)}")
-    _require("links" in doc and "flows" in doc, NetworkFormatError,
-             "document requires 'links' and 'flows' arrays")
+    if unknown:
+        raise NetworkFormatError(f"unknown top-level fields: {sorted(unknown)}")
+    if "links" not in doc or "flows" not in doc:
+        raise NetworkFormatError("document requires 'links' and 'flows' arrays")
 
     routers = doc.get("routers", [])
-    _require(isinstance(routers, list) and all(isinstance(r, str) for r in routers),
-             NetworkFormatError, "'routers' must be an array of strings")
+    if not (isinstance(routers, list) and all(isinstance(r, str) for r in routers)):
+        raise NetworkFormatError("'routers' must be an array of strings")
     seen_routers: set[str] = set()
     for r in routers:
-        _require(r not in seen_routers, DuplicateIdError, f"duplicate router id {r!r}")
+        if r in seen_routers:
+            raise DuplicateIdError(f"duplicate router id {r!r}")
         seen_routers.add(r)
 
     links: list[Link] = []
     seen_links: set[str] = set()
-    _require(isinstance(doc["links"], list), NetworkFormatError, "'links' must be an array")
+    if not isinstance(doc["links"], list):
+        raise NetworkFormatError("'links' must be an array")
     for entry in doc["links"]:
-        _require(isinstance(entry, dict), NetworkFormatError, "each link must be an object")
+        if not isinstance(entry, dict):
+            raise NetworkFormatError("each link must be an object")
         unknown = set(entry) - _LINK_KEYS
-        _require(not unknown, NetworkFormatError,
-                 f"unknown link fields: {sorted(unknown)}")
-        _require(isinstance(entry.get("id"), str), NetworkFormatError,
-                 "link requires a string 'id'")
+        if unknown:
+            raise NetworkFormatError(f"unknown link fields: {sorted(unknown)}")
+        if not isinstance(entry.get("id"), str):
+            raise NetworkFormatError("link requires a string 'id'")
         lid = entry["id"]
-        _require(lid != PROBE_FLOW_ID, ReservedIdError,
-                 f"link id {lid!r} is reserved")
-        _require(lid not in seen_links, DuplicateIdError, f"duplicate link id {lid!r}")
+        if lid == PROBE_FLOW_ID:
+            raise ReservedIdError(f"link id {lid!r} is reserved")
+        if lid in seen_links:
+            raise DuplicateIdError(f"duplicate link id {lid!r}")
         seen_links.add(lid)
         cap = entry.get("capacity")
-        _require(isinstance(cap, (int, float)) and not isinstance(cap, bool),
-                 CapacityError, f"link {lid!r}: capacity must be a number")
+        if not isinstance(cap, (int, float)) or isinstance(cap, bool):
+            raise CapacityError(f"link {lid!r}: capacity must be a number")
         cap = float(cap)
-        _require(math.isfinite(cap), CapacityError,
-                 f"link {lid!r}: capacity must be finite")
-        _require(cap > 0.0, CapacityError,
-                 f"link {lid!r}: capacity must be strictly positive, got {cap}")
+        if not math.isfinite(cap):
+            raise CapacityError(f"link {lid!r}: capacity must be finite")
+        if not cap > 0.0:
+            raise CapacityError(
+                f"link {lid!r}: capacity must be strictly positive, got {cap}")
         src, dst = entry.get("src"), entry.get("dst")
         for name, val in (("src", src), ("dst", dst)):
-            _require(val is None or isinstance(val, str), NetworkFormatError,
-                     f"link {lid!r}: '{name}' must be a string")
+            if val is not None and not isinstance(val, str):
+                raise NetworkFormatError(f"link {lid!r}: '{name}' must be a string")
         links.append(Link(lid, cap, src, dst))
 
     flows: list[Flow] = []
     seen_flows: set[str] = set()
-    _require(isinstance(doc["flows"], list), NetworkFormatError, "'flows' must be an array")
+    if not isinstance(doc["flows"], list):
+        raise NetworkFormatError("'flows' must be an array")
     for entry in doc["flows"]:
-        _require(isinstance(entry, dict), NetworkFormatError, "each flow must be an object")
+        if not isinstance(entry, dict):
+            raise NetworkFormatError("each flow must be an object")
         unknown = set(entry) - _FLOW_KEYS
-        _require(not unknown, NetworkFormatError,
-                 f"unknown flow fields: {sorted(unknown)}")
-        _require(isinstance(entry.get("id"), str), NetworkFormatError,
-                 "flow requires a string 'id'")
+        if unknown:
+            raise NetworkFormatError(f"unknown flow fields: {sorted(unknown)}")
+        if not isinstance(entry.get("id"), str):
+            raise NetworkFormatError("flow requires a string 'id'")
         fid = entry["id"]
-        _require(fid != PROBE_FLOW_ID, ReservedIdError,
-                 f"flow id {fid!r} is reserved")
-        _require(fid not in seen_flows, DuplicateIdError, f"duplicate flow id {fid!r}")
+        if fid == PROBE_FLOW_ID:
+            raise ReservedIdError(f"flow id {fid!r} is reserved")
+        if fid in seen_flows:
+            raise DuplicateIdError(f"duplicate flow id {fid!r}")
         # Links and flows share the graph vertex namespace.
-        _require(fid not in seen_links, DuplicateIdError,
-                 f"flow id {fid!r} collides with a link id")
+        if fid in seen_links:
+            raise DuplicateIdError(f"flow id {fid!r} collides with a link id")
         seen_flows.add(fid)
         path = entry.get("links")
-        _require(isinstance(path, list) and path, NetworkFormatError,
-                 f"flow {fid!r}: 'links' must be a non-empty array")
-        _require(all(isinstance(x, str) for x in path), NetworkFormatError,
-                 f"flow {fid!r}: 'links' must contain link ids")
-        _require(len(set(path)) == len(path), NetworkFormatError,
-                 f"flow {fid!r}: repeated link in path")
+        if not (isinstance(path, list) and path):
+            raise NetworkFormatError(f"flow {fid!r}: 'links' must be a non-empty array")
+        if not all(isinstance(x, str) for x in path):
+            raise NetworkFormatError(f"flow {fid!r}: 'links' must contain link ids")
+        if len(set(path)) != len(path):
+            raise NetworkFormatError(f"flow {fid!r}: repeated link in path")
         for lid in path:
-            _require(lid in seen_links, UnknownLinkError,
-                     f"flow {fid!r} references unknown link {lid!r}")
+            if lid not in seen_links:
+                raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
         flows.append(Flow(fid, tuple(path)))
 
     return Network(tuple(links), tuple(flows), tuple(routers))
@@ -322,10 +337,7 @@ def interned(network: Network):
     lidx = {lid: i for i, lid in enumerate(link_ids)}
     caps = [l.capacity for l in network.links]
     for lid, cap in zip(link_ids, caps):
-        if not 0.0 < cap < math.inf:  # also false for NaN
-            raise CapacityError(
-                f"link {lid!r}: capacity must be finite and strictly positive, got {cap}"
-            )
+        check_capacity(lid, cap)
     try:
         flow_links = [sorted([lidx[lid] for lid in f.path]) for f in network.flows]
     except KeyError:

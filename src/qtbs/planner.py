@@ -5,13 +5,17 @@ target flow by throttling low-priority flows, sizing each rate cut at the
 first point where the bottleneck structure would change shape.
 ``taper_fold`` finds the capacity scale at which the levels of a fat-tree
 style structure collapse into one. Both verify their predictions by
-re-solving the modified network.
+re-solving the modified network. ``taper_fold`` interns its base network
+once and re-solves each scale by replacing the scaled links' capacities in
+the interned arrays.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import solver
 from .errors import (
     AlreadyFoldedError,
     DuplicateShaperError,
@@ -19,7 +23,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .gradients import Perturbation, forward_grad
-from .model import EPS, Flow, FlowId, Link, LinkId, Network
+from .model import EPS, Flow, FlowId, Link, LinkId, Network, check_capacity
 from .solver import BottleneckSolution, flow_levels, gradient_graph, region_of_influence
 
 SHAPER_PREFIX = "__shaper__"
@@ -262,7 +266,7 @@ def _scaled(network: Network, scale_links: Sequence[LinkId], cap: float) -> Netw
     return Network(links, network.flows, network.routers)
 
 
-def _rate_groups(solution: BottleneckSolution, eps: float):
+def _rate_groups(solution: BottleneckSolution):
     """Flows grouped by structure level, with each group's common rate."""
     groups = []
     for _, flows in flow_levels(solution).items():
@@ -284,7 +288,12 @@ def taper_fold(
     links are fixed. Per-level rate derivatives w.r.t. the scaled capacity
     give each level's line rate(tau); the first intersection of adjacent
     level lines is the fold. Falls back to bisection on the max-min rate
-    gap when a level's flows do not share one derivative.
+    gap when a level's flows do not share one derivative; it stops once
+    the midpoint is an end of the bracket whose gap is already known.
+
+    The structure is solved once, at ``tau0``. Every other ``tau`` is one
+    kernel re-solve of that network, interned once, with the scaled links'
+    capacities replaced; only its rates are read.
     """
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:
@@ -298,27 +307,37 @@ def taper_fold(
     base_cap = leaf_capacity * tau0
     base_net = _scaled(network, scale_links, base_cap)
     base = gradient_graph(base_net, eps)
-    groups = _rate_groups(base, eps)
+    groups = _rate_groups(base)
     if len(groups) < 2:
         raise AlreadyFoldedError(
             "structure already has a single flow level at tau0"
         )
 
-    def solve_at(tau: float) -> BottleneckSolution:
-        return gradient_graph(
-            _scaled(network, scale_links, leaf_capacity * tau), eps
-        )
+    link_ids, flow_ids, caps, flow_links, link_flows = solver.interned(base_net)
+    scaled = [bisect_left(link_ids, lid) for lid in scale_links]  # ids are sorted
+
+    def rates_at(tau: float) -> list[float]:
+        cap = leaf_capacity * tau
+        # Every scaled link gets ``cap``: check it as interning would, at
+        # the first scaled link in id order.
+        check_capacity(scale_links[0], cap)
+        for i in scaled:
+            caps[i] = cap
+        return solver.resolve(caps, flow_links, link_flows, eps)[0]
 
     # Band membership is frozen at tau0; two adjacent bands fold when the
     # upper one's slowest flow meets the lower one's fastest.
-    bands = [flows for _, _, flows in sorted(groups)]
+    flow_index = {f: i for i, f in enumerate(flow_ids)}
+    bands = [[flow_index[f] for f in flows] for _, _, flows in sorted(groups)]
 
-    def pair_gap(tau: float) -> float:
-        sol = solve_at(tau)
+    def band_gap(rate: list[float]) -> float:
         return min(
-            min(sol.rate[f] for f in hi) - max(sol.rate[f] for f in lo)
+            min(rate[f] for f in hi) - max(rate[f] for f in lo)
             for lo, hi in zip(bands, bands[1:])
         )
+
+    def pair_gap(tau: float) -> float:
+        return band_gap(rates_at(tau))
 
     # Per-level derivative of rate w.r.t. the scaled links' common capacity,
     # from a downward probe of one scaled link (they must all agree).
@@ -366,16 +385,21 @@ def taper_fold(
             hi_tau *= 2.0
         else:
             raise PlanError("no band gap closes while scaling up")
+        lo_known = False  # the gap at tau0 has not been evaluated
         for _ in range(100):
             mid = 0.5 * (lo_tau + hi_tau)
+            # Once the floats converge, mid is an end of the bracket. If that
+            # end's gap is known, every later step repeats this one.
+            if mid == hi_tau or (mid == lo_tau and lo_known):
+                break
             if pair_gap(mid) <= tol:
                 hi_tau = mid
             else:
-                lo_tau = mid
+                lo_tau, lo_known = mid, True
         tau_star = hi_tau
 
-    at = solve_at(tau_star)
-    if pair_gap(tau_star) > 1e-3:
+    at = rates_at(tau_star)
+    if band_gap(at) > 1e-3:
         raise PlanError("fold verification failed: bands still split at tau*")
 
     below_tau = 0.5 * (tau0 + tau_star)
@@ -383,7 +407,7 @@ def taper_fold(
     samples = []
     for i in range(9):
         tau = tau0 + (above_tau - tau0) * i / 8.0
-        samples.append((tau, min(solve_at(tau).rate.values())))
+        samples.append((tau, min(rates_at(tau))))
 
     return TaperReport(
         tau_star=tau_star,
@@ -392,9 +416,9 @@ def taper_fold(
         scaled_links=scale_links,
         level_rates=level_rates,
         level_gradients=level_grad,
-        rates_below=solve_at(below_tau).rate,
-        rates_at=at.rate,
-        rates_above=solve_at(above_tau).rate,
+        rates_below=dict(zip(flow_ids, rates_at(below_tau))),
+        rates_at=dict(zip(flow_ids, at)),
+        rates_above=dict(zip(flow_ids, rates_at(above_tau))),
         slowest_samples=tuple(samples),
         method=method,
     )

@@ -171,7 +171,12 @@ class BottleneckSolution:
 
     @cached_property
     def level(self) -> Mapping[str, int]:
-        """Topological level of each vertex; see ``levels``."""
+        """Topological level of each vertex.
+
+        Level 0 links have no incoming traversal edges; levels increase
+        along bottleneck and traversal edges. Flows at lower levels are
+        resolved earlier and receive smaller rates.
+        """
         return _levels(self.graph)
 
     def is_link(self, vertex: str) -> bool:
@@ -226,6 +231,24 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     return dict(zip(graph.vertices(), level))
 
 
+def resolve(caps, flow_links, link_flows, eps: float = EPS) -> tuple:
+    """One kernel solve of interned arrays, as ``interned`` returns them.
+
+    ``gradient_graph`` is ``interned`` plus this call plus the structure.
+    Re-solve loops intern a network once and call this on edited arrays:
+    routing adds a probe flow, ``taper_fold`` replaces capacities. They
+    call ``solver.interned`` and ``solver.resolve``, the names
+    ``gradient_graph`` uses, so every solve goes through one set of names.
+    The kernel only reads its arguments. Returns the kernel's output tuple
+    ``(rate, share, bneck, trav, pop_order, pops, updates)``; a kernel
+    failure raises ``SolverError``.
+    """
+    try:
+        return _kernel.solve(caps, flow_links, link_flows, eps)
+    except RuntimeError as exc:
+        raise SolverError(str(exc)) from exc
+
+
 def gradient_graph(network: Network, eps: float = EPS) -> BottleneckSolution:
     """Solve the network and build its bottleneck structure.
 
@@ -240,13 +263,9 @@ def gradient_graph(network: Network, eps: float = EPS) -> BottleneckSolution:
     would solve to a wrong answer; see ``interned``.
     """
     link_ids, flow_ids, caps, flow_links, link_flows = interned(network)
-    try:
-        rate, share, bneck, trav, pop_order, pops, updates = _kernel.solve(
-            caps, flow_links, link_flows, eps
-        )
-    except RuntimeError as exc:
-        raise SolverError(str(exc)) from exc
-
+    rate, share, bneck, trav, pop_order, pops, updates = resolve(
+        caps, flow_links, link_flows, eps
+    )
     link_ids = tuple(link_ids)
     flow_ids = tuple(flow_ids)
     return BottleneckSolution(
@@ -281,16 +300,6 @@ def region_of_influence(solution: BottleneckSolution, vertex: str) -> set[str]:
     seen.discard(start)
     ids = ix.ids
     return {ids[i] for i in seen}
-
-
-def levels(solution: BottleneckSolution) -> Mapping[str, int]:
-    """Topological level of each vertex in the structure.
-
-    Level 0 links have no incoming traversal edges; levels increase along
-    bottleneck and traversal edges. Flows at lower levels are resolved
-    earlier and receive smaller rates.
-    """
-    return solution.level
 
 
 def flow_levels(solution: BottleneckSolution) -> dict[int, tuple[FlowId, ...]]:

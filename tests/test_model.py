@@ -231,3 +231,61 @@ def test_parse_rejects_every_violation_code():
                 parse_network(doc)
             with pytest.raises(QtbsError):
                 parse_network(json.dumps(doc))
+
+
+_L1 = {"id": "l1", "capacity": 5}
+_F1 = {"id": "f1", "links": ["l1"]}
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ("[", NetworkFormatError, "invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+    ([], NetworkFormatError, "top level must be an object"),
+    ({"links": [], "flows": [], "extra": 1}, NetworkFormatError,
+     "unknown top-level fields: ['extra']"),
+    ({"links": []}, NetworkFormatError, "document requires 'links' and 'flows' arrays"),
+    ({"routers": "r", "links": [], "flows": []}, NetworkFormatError,
+     "'routers' must be an array of strings"),
+    ({"routers": ["a", "a"], "links": [], "flows": []}, DuplicateIdError,
+     "duplicate router id 'a'"),
+    ({"links": {}, "flows": []}, NetworkFormatError, "'links' must be an array"),
+    ({"links": [3], "flows": []}, NetworkFormatError, "each link must be an object"),
+    ({"links": [{"id": "l1", "capacity": 1, "x": 2}], "flows": []}, NetworkFormatError,
+     "unknown link fields: ['x']"),
+    ({"links": [{"capacity": 1}], "flows": []}, NetworkFormatError,
+     "link requires a string 'id'"),
+    ({"links": [{"id": "__probe__", "capacity": 1}], "flows": []}, ReservedIdError,
+     "link id '__probe__' is reserved"),
+    ({"links": [_L1, _L1], "flows": []}, DuplicateIdError, "duplicate link id 'l1'"),
+    ({"links": [{"id": "l1", "capacity": True}], "flows": []}, CapacityError,
+     "link 'l1': capacity must be a number"),
+    ({"links": [{"id": "l1", "capacity": float("nan")}], "flows": []}, CapacityError,
+     "link 'l1': capacity must be finite"),
+    ({"links": [{"id": "l1", "capacity": -2.5}], "flows": []}, CapacityError,
+     "link 'l1': capacity must be strictly positive, got -2.5"),
+    ({"links": [{"id": "l1", "capacity": 1, "dst": []}], "flows": []}, NetworkFormatError,
+     "link 'l1': 'dst' must be a string"),
+    ({"links": [_L1], "flows": {}}, NetworkFormatError, "'flows' must be an array"),
+    ({"links": [_L1], "flows": [7]}, NetworkFormatError, "each flow must be an object"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l1"], "y": 0}]}, NetworkFormatError,
+     "unknown flow fields: ['y']"),
+    ({"links": [_L1], "flows": [{"id": 5, "links": ["l1"]}]}, NetworkFormatError,
+     "flow requires a string 'id'"),
+    ({"links": [_L1], "flows": [{"id": "__probe__", "links": ["l1"]}]}, ReservedIdError,
+     "flow id '__probe__' is reserved"),
+    ({"links": [_L1], "flows": [_F1, _F1]}, DuplicateIdError, "duplicate flow id 'f1'"),
+    ({"links": [_L1], "flows": [{"id": "l1", "links": ["l1"]}]}, DuplicateIdError,
+     "flow id 'l1' collides with a link id"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": "l1"}]}, NetworkFormatError,
+     "flow 'f1': 'links' must be a non-empty array"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": [1]}]}, NetworkFormatError,
+     "flow 'f1': 'links' must contain link ids"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l1", "l1"]}]}, NetworkFormatError,
+     "flow 'f1': repeated link in path"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l2"]}]}, UnknownLinkError,
+     "flow 'f1' references unknown link 'l2'"),
+])
+def test_parse_error_type_and_message(doc, error, message):
+    with pytest.raises(error) as info:
+        parse_network(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message

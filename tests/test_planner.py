@@ -1,23 +1,31 @@
+import dataclasses
+
 import pytest
 
 from qtbs import (
+    EPS,
     AlreadyFoldedError,
+    CapacityError,
     DuplicateShaperError,
     Flow,
     Link,
     Network,
     PlanError,
     ShapingAction,
+    Perturbation,
     ShapingPlan,
+    TaperReport,
     accelerate_flow,
     apply_plan,
     flow_levels,
+    forward_grad,
     gradient_graph,
     random_network,
     shaper_link_id,
     taper_fold,
     waterfill,
 )
+from qtbs.planner import _rate_groups, _scaled
 
 
 def test_stage_one_shapes_biggest_helper(shaping):
@@ -250,3 +258,145 @@ def test_taper_bisection_fallback():
     assert report.method == "bisection"
     assert report.tau_star == pytest.approx(1.9, abs=1e-3)
     assert report.rates_at["h3"] == pytest.approx(report.rates_at["h1"], abs=1e-3)
+
+
+# -- taper re-solves --------------------------------------------------------
+# ``taper_fold`` re-solves each scale on one interned network and stops the
+# bisection once the floats converge. The reference below is the plain
+# algorithm: every scale is a fresh ``gradient_graph(_scaled(...))`` and the
+# bisection always takes its 100 steps.
+
+def _reference_taper(network, scale_links, leaf, tau0=1.0, eps=EPS):
+    scale_links = tuple(sorted(set(scale_links)))
+
+    def solve_at(tau):
+        return gradient_graph(_scaled(network, scale_links, leaf * tau), eps)
+
+    base_cap = leaf * tau0
+    base = gradient_graph(_scaled(network, scale_links, base_cap), eps)
+    groups = _rate_groups(base)
+    bands = [flows for _, _, flows in sorted(groups)]
+
+    def pair_gap(tau):
+        rate = solve_at(tau).rate
+        return min(min(rate[f] for f in hi) - max(rate[f] for f in lo)
+                   for lo, hi in zip(bands, bands[1:]))
+
+    tol = 1e-6
+    per_link = [forward_grad(base, Perturbation(lid, -1)).flow_derivative
+                for lid in scale_links]
+    level_grad, level_rates, uniform = {}, {}, True
+    for lo, hi, flows in groups:
+        grads = {deriv[f] for deriv in per_link for f in flows}
+        if hi - lo > tol or lo in level_rates or max(grads) - min(grads) > tol:
+            uniform = False
+            break
+        level_rates[lo] = flows
+        level_grad[lo] = per_link[0][flows[0]]
+    tau_star, method = None, "gradient"
+    if uniform:
+        ordered = sorted(level_rates)
+        dcaps = [(r_hi - r_lo) / (level_grad[r_lo] - level_grad[r_hi])
+                 for r_lo, r_hi in zip(ordered, ordered[1:])
+                 if level_grad[r_lo] - level_grad[r_hi] > eps]
+        dcaps = [d for d in dcaps if d > eps]
+        if dcaps:
+            tau_star = (base_cap + min(dcaps)) / leaf
+    if tau_star is None:
+        method = "bisection"
+        lo_tau, hi_tau = tau0, tau0 * 2.0
+        while pair_gap(hi_tau) > tol:
+            hi_tau *= 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo_tau + hi_tau)
+            if pair_gap(mid) <= tol:
+                hi_tau = mid
+            else:
+                lo_tau = mid
+        tau_star = hi_tau
+    below_tau = 0.5 * (tau0 + tau_star)
+    above_tau = tau_star + 0.5 * (tau_star - tau0)
+    samples = tuple(
+        (tau, min(solve_at(tau).rate.values()))
+        for tau in (tau0 + (above_tau - tau0) * i / 8.0 for i in range(9))
+    )
+    return TaperReport(
+        tau_star=tau_star,
+        spine_capacity_at_fold=leaf * tau_star,
+        leaf_capacity=leaf,
+        scaled_links=scale_links,
+        level_rates=level_rates,
+        level_gradients=level_grad,
+        rates_below=solve_at(below_tau).rate,
+        rates_at=solve_at(tau_star).rate,
+        rates_above=solve_at(above_tau).rate,
+        slowest_samples=samples,
+        method=method,
+    )
+
+
+def _leaf_spine(pods, hosts, leaf):
+    """Hosts with one access link each, one spine link per pod, and a flow
+    between every ordered pair of hosts (fat_tree.json is the 2 x 2 case)."""
+    links = [Link(f"s{p}", leaf) for p in range(pods)]
+    links += [Link(f"h{p}_{i}", leaf) for p in range(pods) for i in range(hosts)]
+    ends = [(p, i) for p in range(pods) for i in range(hosts)]
+    flows = []
+    for a in ends:
+        for b in ends:
+            if a == b:
+                continue
+            path = [f"h{a[0]}_{a[1]}", f"h{b[0]}_{b[1]}"]
+            if a[0] != b[0]:
+                path[1:1] = [f"s{a[0]}", f"s{b[0]}"]
+            flows.append(Flow(f"f{a[0]}.{a[1]}-{b[0]}.{b[1]}", tuple(path)))
+    return Network(tuple(links), tuple(flows)), [f"s{p}" for p in range(pods)]
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(TaperReport):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def test_taper_matches_full_resolve_reference_on_fat_tree(fat_tree):
+    for tau0 in (0.5, 1.0, 1.2):
+        args = (fat_tree, ["l5", "l6"], 20.0, tau0)
+        _assert_same_report(taper_fold(*args), _reference_taper(*args))
+
+
+@pytest.mark.parametrize("pods", [2, 3, 4])
+@pytest.mark.parametrize("hosts", [2, 3, 4])
+def test_taper_matches_full_resolve_reference_on_leaf_spine(pods, hosts):
+    net, spines = _leaf_spine(pods, hosts, 23.17)
+    report = taper_fold(net, spines, 23.17)
+    # Several scaled spines give a shared level mixed gradients.
+    assert report.method == ("gradient" if pods == 2 else "bisection")
+    _assert_same_report(report, _reference_taper(net, spines, 23.17))
+
+
+def test_taper_bisection_stops_once_floats_converge(monkeypatch):
+    import qtbs._kernel
+
+    solve = qtbs._kernel.solve
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    net, spines = _leaf_spine(3, 2, 23.17)
+    monkeypatch.setattr(qtbs._kernel, "solve", counting_solve)
+    report = taper_fold(net, spines, 23.17)
+    assert report.method == "bisection"
+    # base, one doubling, ~53 bisection steps, the fold, 2 + 9 samples
+    # (115 when the bisection ran all 100 steps)
+    assert len(calls) <= 70
+
+
+def test_taper_scaled_capacity_must_be_finite():
+    # The first doubling of the scaled capacity overflows to inf; the
+    # re-solve rejects it as interning the scaled network would.
+    net, spines = _leaf_spine(3, 2, 1.5e308)
+    with pytest.raises(CapacityError,
+                       match=r"link 's0': capacity must be finite and strictly positive, got inf"):
+        taper_fold(net, spines, 1.5e308)

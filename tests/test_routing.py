@@ -3,6 +3,9 @@ import random
 import pytest
 
 from qtbs import (
+    EPS,
+    PROBE_FLOW_ID,
+    DuplicateIdError,
     Flow,
     Link,
     MissingEndpointsError,
@@ -218,3 +221,127 @@ def test_max_rate_path_is_argmax_by_enumeration():
         assert route.links in paths
         checked += 1
     assert checked >= 15
+
+
+# -- probe splice ---------------------------------------------------------
+# ``rate_if_routed`` solves the probe on the interned network with the probe
+# spliced into its links' flow lists; the reference builds the probed
+# network and solves it from scratch. The two must agree bit for bit.
+
+def _reference_rate(net, path, eps=EPS):
+    probed = net.with_flow(Flow(PROBE_FLOW_ID, tuple(path)))
+    return gradient_graph(probed, eps).rate[PROBE_FLOW_ID]
+
+
+def test_probe_splice_matches_probed_network_on_b4_pairs(b4):
+    for src in b4.routers:
+        for dst in b4.routers:
+            if src == dst:
+                continue
+            route = max_rate_path(b4, src, dst)
+            assert route.predicted_rate == _reference_rate(b4, route.links)
+            hops = min_hop_path(b4, src, dst)
+            assert rate_if_routed(b4, hops) == _reference_rate(b4, hops)
+
+
+def _id_mixed_net(rng, caps):
+    """Flow ids that sort before and after the probe's id."""
+    links = tuple(Link(f"l{i}", rng.choice(caps)) for i in range(rng.randint(1, 9)))
+    ids = [l.id for l in links]
+    prefixes = ("A", "_", "__a", "__q", "f")
+    flows = tuple(
+        Flow(f"{rng.choice(prefixes)}{k}", tuple(rng.sample(ids, rng.randint(1, min(4, len(ids))))))
+        for k in range(rng.randint(0, 16))
+    )
+    return Network(links, flows)
+
+
+@pytest.mark.parametrize("caps", [
+    tuple(c / 10.0 for c in range(5, 300)),  # mostly distinct capacities
+    (2.0, 3.0),                              # ties everywhere
+    (1.0, 2.0, 3.0),
+])
+def test_probe_splice_matches_probed_network_on_random_networks(caps):
+    rng = random.Random(len(caps))
+    for _ in range(150):
+        net = _id_mixed_net(rng, caps)
+        ids = [l.id for l in net.links]
+        for eps in (EPS, 1e-3):
+            path = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+            assert rate_if_routed(net, path, eps) == _reference_rate(net, path, eps)
+
+
+def test_probe_splice_gives_the_probed_networks_kernel_run(monkeypatch):
+    # The probe takes the last flow index but sits at its id rank in every
+    # flow list, so the kernel runs exactly as on the probed network: same
+    # pops, shares and counters, and the same edges once the probe's index
+    # is mapped to its rank there.
+    import qtbs.solver
+    from qtbs import _kernel
+    from qtbs.model import interned
+
+    runs = []
+    resolve = qtbs.solver.resolve
+
+    def recording_resolve(*args):
+        runs.append(resolve(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(qtbs.solver, "resolve", recording_resolve)
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(200):
+        net = _id_mixed_net(rng, (1.0, 2.0, 3.0))
+        ids = [l.id for l in net.links]
+        path = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+        rate_if_routed(net, path)
+        got = runs.pop()
+        probed = interned(net.with_flow(Flow(PROBE_FLOW_ID, tuple(path))))
+        want = _kernel.solve(*probed[2:], EPS)
+        rank = probed[1].index(PROBE_FLOW_ID)
+        probe = len(net.flows)
+
+        def at_rank(f):
+            return rank if f == probe else f + (f >= rank)
+
+        assert [got[0][f] for f in sorted(range(probe + 1), key=at_rank)] == want[0]
+        assert got[1] == want[1]
+        assert [(l, at_rank(f)) for l, f in got[2]] == want[2]
+        assert [(at_rank(f), l) for f, l in got[3]] == want[3]
+        assert got[4:] == want[4:]
+        checked += 0 < rank < probe
+    assert checked > 50  # the probe sorts between other flows
+
+
+@pytest.mark.parametrize("extra", [
+    Flow(PROBE_FLOW_ID, ("l15",)),
+    Link(PROBE_FLOW_ID, 3.0, "DC4", "DC11"),
+])
+def test_network_with_probe_id_rejected(b4, extra):
+    net = b4.with_flow(extra) if isinstance(extra, Flow) else b4.with_link(extra)
+    for call in (lambda: rate_if_routed(net, ["l15"]),
+                 lambda: max_rate_path(net, "DC4", "DC11")):
+        with pytest.raises(DuplicateIdError, match=PROBE_FLOW_ID):
+            call()
+
+
+def test_route_interns_once_and_builds_no_network(b4, monkeypatch):
+    import qtbs.model
+    import qtbs.solver
+
+    counts = {"interned": 0, "networks": 0}
+    interned = qtbs.solver.interned
+    post_init = qtbs.model.Network.__post_init__
+
+    def counting_interned(network):
+        counts["interned"] += 1
+        return interned(network)
+
+    def counting_post_init(self):
+        counts["networks"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(qtbs.solver, "interned", counting_interned)
+    monkeypatch.setattr(qtbs.model.Network, "__post_init__", counting_post_init)
+    max_rate_path(b4, "DC4", "DC11")
+    assert counts == {"interned": 1, "networks": 0}

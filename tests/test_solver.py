@@ -11,7 +11,6 @@ from qtbs import (
     UnknownVertexError,
     flow_levels,
     gradient_graph,
-    levels,
     random_network,
     region_of_influence,
 )
@@ -185,7 +184,7 @@ def test_region_unknown_vertex(shaping):
 
 def test_levels_single_link(single_link):
     sol = gradient_graph(single_link)
-    assert levels(sol) == {"l1": 0, "f1": 1}
+    assert sol.level == {"l1": 0, "f1": 1}
 
 
 def test_random_networks_solve_clean():
