@@ -4,6 +4,9 @@ Subcommands: solve, grad, route, shape, taper, and export (an alias of
 ``solve --format dot``). Payload goes to stdout (tables by default,
 machine JSON with --format json, Graphviz DOT where applicable);
 diagnostics go to stderr and failures exit non-zero.
+Every JSON report is byte-identical to ``json.dumps(report, indent=2,
+sort_keys=True)``; ``solve`` writes its report directly from the solve's
+arrays instead of building the report dict.
 The comparison tolerance can be overridden for testing with QTBS_EPS.
 """
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import QtbsError
@@ -25,7 +29,7 @@ from .model import EPS, Network, parse_network
 from .model import validate  # noqa: F401
 from .planner import accelerate_flow, apply_plan, taper_fold
 from .routing import max_rate_path, min_hop_path, rate_if_routed
-from .solver import gradient_graph
+from .solver import BottleneckSolution, gradient_graph
 
 SCHEMA_VERSION = 1
 
@@ -70,24 +74,89 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _block(items: list[str]) -> str:
+    """A top-level report section: a JSON object of encoded ``items``, laid
+    out as ``json.dumps`` does with ``indent=2``."""
+    if not items:
+        return "{}"
+    return "{\n    " + ",\n    ".join(items) + "\n  }"
+
+
+def _numbers(values) -> dict:
+    """Each distinct value's JSON text. A max-min solve has at most one
+    distinct rate per link, so this encodes far fewer numbers than it is
+    given. One table per section: 2 == 2.0, so integer levels and float
+    rates must never share one."""
+    return {v: json.dumps(v) for v in set(values)}
+
+
+def _solve_json(net: Network, sol: BottleneckSolution) -> str:
+    """The ``solve`` report, equal to ``json.dumps(report, indent=2,
+    sort_keys=True)`` of the report ``_report`` would build.
+
+    Written from the solve's arrays: ``link_ids`` and ``flow_ids`` ascend by
+    raw id, as ``sort_keys`` orders keys (not by escaped text), so the rate
+    and fair-share sections need no sort, and ``bottlenecks_of`` is grouped
+    from ``bottleneck_pairs`` without building the string views.
+    """
+    graph = sol.graph
+    lkey = list(map(encode_basestring_ascii, graph.link_ids))
+    fkey = list(map(encode_basestring_ascii, graph.flow_ids))
+    rates = list(sol.rate.values())  # ascending flow id
+    shares = list(sol.fair_share.values())  # ascending link id
+
+    text = _numbers(rates)
+    rate_block = _block([f"{k}: {text[r]}" for k, r in zip(fkey, rates)])
+    text = _numbers(shares)
+    share_block = _block([f"{k}: {text[s]}" for k, s in zip(lkey, shares)])
+
+    # Each flow's bottleneck links, joined into the body of its array.
+    # Sorting the (link, flow) pairs lists them in ascending id order; the
+    # kernel emits each pair once and gives every flow at least one.
+    joined: list[str | None] = [None] * len(fkey)
+    for l, f in sorted(graph.bottleneck_pairs):
+        prev = joined[f]
+        joined[f] = lkey[l] if prev is None else prev + ",\n      " + lkey[l]
+    bneck_block = _block([
+        f"{k}: []" if ls is None else f"{k}: [\n      {ls}\n    ]"
+        for k, ls in zip(fkey, joined)
+    ])
+
+    key_of = dict(zip(graph.vertices(), lkey + fkey))
+    text = _numbers(sol.level.values())
+    level_block = _block(
+        [f"{key_of[v]}: {text[n]}" for v, n in sorted(sol.level.items())]
+    )
+
+    jain = jain_index(rates) if rates else None
+    return (
+        "{\n"
+        f'  "bottlenecks_of": {bneck_block},\n'
+        '  "command": "solve",\n'
+        f'  "fair_shares": {share_block},\n'
+        f'  "jain_index": {json.dumps(jain)},\n'
+        f'  "levels": {level_block},\n'
+        '  "network": {\n'
+        f'    "flows": {len(net.flows)},\n'
+        f'    "links": {len(net.links)}\n'
+        "  },\n"
+        f'  "rates": {rate_block},\n'
+        f'  "schema": {SCHEMA_VERSION}\n'
+        "}"
+    )
+
+
 def cmd_solve(args) -> int:
     net = _load(args.file)
     sol = gradient_graph(net, _eps())
     if args.format == "dot":
         sys.stdout.write(dot_graph(sol, backward_edges=args.backward_edges))
         return 0
+    if args.format == "json":
+        print(_solve_json(net, sol))
+        return 0
     rates = dict(sorted(sol.rate.items()))
     shares = dict(sorted(sol.fair_share.items()))
-    payload = {
-        "rates": rates,
-        "fair_shares": shares,
-        "bottlenecks_of": {f: list(ls) for f, ls in sorted(sol.bottlenecks_of.items())},
-        "levels": dict(sorted(sol.level.items())),
-        "jain_index": jain_index(rates.values()) if rates else None,
-    }
-    if args.format == "json":
-        _print_json(_report("solve", net, payload))
-        return 0
     print(f"network: {len(net.links)} links, {len(net.flows)} flows")
     print("\nflow rates:")
     for f, r in rates.items():

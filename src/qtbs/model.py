@@ -231,8 +231,8 @@ def parse_network(document: str | bytes | dict) -> Network:
     for entry in doc["flows"]:
         if not isinstance(entry, dict):
             raise NetworkFormatError("each flow must be an object")
-        unknown = set(entry) - _FLOW_KEYS
-        if unknown:
+        if not entry.keys() <= _FLOW_KEYS:
+            unknown = set(entry) - _FLOW_KEYS
             raise NetworkFormatError(f"unknown flow fields: {sorted(unknown)}")
         if not isinstance(entry.get("id"), str):
             raise NetworkFormatError("flow requires a string 'id'")
@@ -248,13 +248,21 @@ def parse_network(document: str | bytes | dict) -> Network:
         path = entry.get("links")
         if not (isinstance(path, list) and path):
             raise NetworkFormatError(f"flow {fid!r}: 'links' must be a non-empty array")
-        if not all(isinstance(x, str) for x in path):
-            raise NetworkFormatError(f"flow {fid!r}: 'links' must contain link ids")
-        if len(set(path)) != len(path):
-            raise NetworkFormatError(f"flow {fid!r}: repeated link in path")
-        for lid in path:
-            if lid not in seen_links:
-                raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
+        # One set test decides a valid path: distinct members, all of them
+        # seen link ids, which are strings. Only a failing path runs the
+        # checks below, whose order picks the error and its message.
+        try:
+            members = set(path)
+        except TypeError:  # an unhashable entry
+            members = None
+        if members is None or len(members) != len(path) or not members <= seen_links:
+            if not all(isinstance(x, str) for x in path):
+                raise NetworkFormatError(f"flow {fid!r}: 'links' must contain link ids")
+            if len(members) != len(path):
+                raise NetworkFormatError(f"flow {fid!r}: repeated link in path")
+            for lid in path:
+                if lid not in seen_links:
+                    raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
         flows.append(Flow(fid, tuple(path)))
 
     return Network(tuple(links), tuple(flows), tuple(routers))

@@ -227,7 +227,7 @@ def accelerate_flow(
                     stage=stage,
                 )
             )
-        solution = gradient_graph(current, eps)
+        solution = after  # the solve of ``current``, with every shaper in
         if solution.rate[target] - before <= eps:
             break
 
@@ -291,9 +291,10 @@ def taper_fold(
     gap when a level's flows do not share one derivative; it stops once
     the midpoint is an end of the bracket whose gap is already known.
 
-    The structure is solved once, at ``tau0``. Every other ``tau`` is one
-    kernel re-solve of that network, interned once, with the scaled links'
-    capacities replaced; only its rates are read.
+    The structure is solved once, at ``tau0``. Every other scaled capacity
+    is one kernel re-solve of that network, interned once, with the scaled
+    links' capacities replaced; only its rates are read, and each distinct
+    capacity is solved once per call.
     """
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:
@@ -316,14 +317,22 @@ def taper_fold(
     link_ids, flow_ids, caps, flow_links, link_flows = solver.interned(base_net)
     scaled = [bisect_left(link_ids, lid) for lid in scale_links]  # ids are sorted
 
+    # Rates per scaled capacity, for this call only: the tau0 sample, the
+    # fold, ``above_tau`` and midpoints that round to one capacity would
+    # otherwise repeat a kernel run. The structure solve gives tau0's.
+    solved = {base_cap: list(base.rate.values())}  # ascending flow id
+
     def rates_at(tau: float) -> list[float]:
         cap = leaf_capacity * tau
-        # Every scaled link gets ``cap``: check it as interning would, at
-        # the first scaled link in id order.
-        check_capacity(scale_links[0], cap)
-        for i in scaled:
-            caps[i] = cap
-        return solver.resolve(caps, flow_links, link_flows, eps)[0]
+        rate = solved.get(cap)
+        if rate is None:
+            # Every scaled link gets ``cap``: check it as interning would, at
+            # the first scaled link in id order.
+            check_capacity(scale_links[0], cap)
+            for i in scaled:
+                caps[i] = cap
+            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows, eps)[0]
+        return rate
 
     # Band membership is frozen at tau0; two adjacent bands fold when the
     # upper one's slowest flow meets the lower one's fastest.

@@ -1,11 +1,19 @@
 import json
+import os
+import random
+import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
+import qtbs.cli
+from qtbs import gradient_graph, jain_index, parse_network, random_network, to_document
 from qtbs.cli import main
 
 from conftest import FIXTURES
+
+SRC = FIXTURES.parent / "src"
 
 
 def run(capsys, *argv):
@@ -182,3 +190,137 @@ def test_outputs_deterministic(capsys):
             _, first, _ = run(capsys, *args)
             _, second, _ = run(capsys, *args)
             assert first == second, (fixture.name, fmt)
+
+
+# -- the solve report, written from the solve's arrays --------------------
+# ``qtbs solve --format json`` must print exactly what ``json.dumps`` of the
+# report dict printed, built below as ``cmd_solve`` built it.
+
+def _reference_solve_json(path):
+    net = parse_network(path.read_bytes())
+    sol = gradient_graph(net)
+    rates = dict(sorted(sol.rate.items()))
+    report = {
+        "schema": 1,
+        "command": "solve",
+        "network": {"links": len(net.links), "flows": len(net.flows)},
+        "rates": rates,
+        "fair_shares": dict(sorted(sol.fair_share.items())),
+        "bottlenecks_of": {f: list(ls) for f, ls in sorted(sol.bottlenecks_of.items())},
+        "levels": dict(sorted(sol.level.items())),
+        "jain_index": jain_index(rates.values()) if rates else None,
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_solve_json(capsys, path):
+    code, out, err = run(capsys, "solve", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == _reference_solve_json(path), path.name
+    return out
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _random_doc(seed, n_links, n_flows, capacities, max_path_len=4):
+    rng = random.Random(seed)
+    links = [f"l{i}" for i in range(n_links)]
+    return {
+        "links": [{"id": l, "capacity": rng.choice(capacities)} for l in links],
+        "flows": [
+            {"id": f"f{i}", "links": rng.sample(links, rng.randint(1, max_path_len))}
+            for i in range(n_flows)
+        ],
+    }
+
+
+def test_solve_json_matches_json_dumps_on_fixtures_and_random(capsys, tmp_path):
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        _assert_solve_json(capsys, fixture)
+    for seed in range(100):
+        doc = to_document(random_network(seed, 12, 30, 4))
+        _assert_solve_json(capsys, _write(tmp_path, f"random-{seed}.json", doc))
+
+
+def test_solve_json_keeps_integer_levels_apart_from_integral_rates(capsys, tmp_path):
+    # Rate 2.0 next to level 2: one shared number table would print one of
+    # them with the other's text.
+    chain = {
+        "links": [{"id": "a", "capacity": 2}, {"id": "b", "capacity": 6}],
+        "flows": [{"id": "f1", "links": ["a", "b"]}, {"id": "f2", "links": ["b"]}],
+    }
+    out = _assert_solve_json(capsys, _write(tmp_path, "chain.json", chain))
+    assert '"f1": 2.0' in out and '"b": 2' in out
+    for seed in range(30):
+        caps = (2.0, 4.0) if seed % 2 else (1.0, 2.0, 4.0)
+        doc = _random_doc(seed, 6, 12, caps)
+        _assert_solve_json(capsys, _write(tmp_path, f"caps-{seed}.json", doc))
+
+
+def test_solve_json_escapes_ids_and_sorts_them_raw(capsys, tmp_path):
+    links = ['a"q', "a\\q", "A", "z", "\u00e9", "\x01ctl", "\u4e2d", "\U0001f600", "idle"]
+    flows = ['f"1', "f\\2", "f\n3", "F", "f\u00e9", "f\U0001f600", "\x7f"]
+    ids = links + flows
+    # The cases below only test something if escaping reorders the ids.
+    assert sorted(ids) != sorted(ids, key=encode_basestring_ascii)
+    rng = random.Random(5)
+    used = links[:-1]  # "idle" carries no flow
+    doc = {
+        "links": [{"id": l, "capacity": rng.choice((3.0, 5.0, 7.5))} for l in links],
+        "flows": [{"id": f, "links": rng.sample(used, rng.randint(1, 3))} for f in flows],
+    }
+    _assert_solve_json(capsys, _write(tmp_path, "escaped.json", doc))
+
+
+def test_solve_json_lists_bottlenecks_in_id_order(capsys, tmp_path):
+    # "b" has the smaller share, so the kernel emits its bottleneck edge
+    # first; "a" ties with it within eps and is a bottleneck too.
+    doc = {
+        "links": [{"id": "a", "capacity": 2.000000000001}, {"id": "b", "capacity": 2.0}],
+        "flows": [{"id": "f1", "links": ["a", "b"]}],
+    }
+    path = _write(tmp_path, "near-tie.json", doc)
+    assert gradient_graph(parse_network(path.read_bytes())).graph.bottleneck_pairs == (
+        (1, 0), (0, 0))
+    _assert_solve_json(capsys, path)
+
+
+def test_solve_json_without_flows(capsys, tmp_path):
+    for doc in ({"links": [{"id": "l1", "capacity": 3}], "flows": []},
+                {"links": [], "flows": []}):
+        report = json.loads(_assert_solve_json(capsys, _write(tmp_path, "empty.json", doc)))
+        assert report["jain_index"] is None
+        assert report["rates"] == report["bottlenecks_of"] == {}
+
+
+def test_solve_json_builds_no_string_views(capsys, monkeypatch):
+    solved = []
+
+    def solve(*args):
+        solved.append(gradient_graph(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(qtbs.cli, "gradient_graph", solve)
+    _, out, _ = run(capsys, "solve", FIXTURES / "b4.json", "--format", "json")
+    (sol,) = solved
+    assert json.loads(out)["bottlenecks_of"]
+    assert "bottlenecks_of" not in vars(sol)
+    for view in ("bottleneck_edges", "traversal_edges", "_succ", "_pred_links", "index"):
+        assert view not in vars(sol.graph), view
+
+
+def test_solve_json_stdout_in_subprocess(capsys, tmp_path):
+    capacities = [c / 100 for c in range(100, 10001)]
+    big = _write(tmp_path, "random-2k.json", _random_doc(11, 200, 2000, capacities))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for path in (FIXTURES / "b4.json", big):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtbs.cli", "solve", str(path), "--format", "json"],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        _, out, _ = run(capsys, "solve", path, "--format", "json")
+        assert proc.stdout == out.encode(), path.name

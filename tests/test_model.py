@@ -283,6 +283,17 @@ _F1 = {"id": "f1", "links": ["l1"]}
      "flow 'f1': repeated link in path"),
     ({"links": [_L1], "flows": [{"id": "f1", "links": ["l2"]}]}, UnknownLinkError,
      "flow 'f1' references unknown link 'l2'"),
+    # A path that fails the one set test runs the checks above in order.
+    ({"links": [_L1], "flows": [{"id": "f1", "links": [["l1"]]}]}, NetworkFormatError,
+     "flow 'f1': 'links' must contain link ids"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": [1, "l1", "l1"]}]},
+     NetworkFormatError, "flow 'f1': 'links' must contain link ids"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l2", "l1", "l1"]}]},
+     NetworkFormatError, "flow 'f1': repeated link in path"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l1", "l2"]}]}, UnknownLinkError,
+     "flow 'f1' references unknown link 'l2'"),
+    ({"links": [_L1], "flows": [{"id": "f1", "links": ["l2", "l2"], "y": 0}]},
+     NetworkFormatError, "unknown flow fields: ['y']"),
 ])
 def test_parse_error_type_and_message(doc, error, message):
     with pytest.raises(error) as info:

@@ -181,6 +181,46 @@ def test_plan_invariants_on_random_networks():
     assert checked >= 50
 
 
+# The eight plans on shaping.json, each flow the target and every other flow
+# low priority, as (flow, shaper rate, predicted target rate, stage) per
+# action. They were recorded before the planner reused its last shaper's
+# solve for the next stage.
+SHAPING_PLANS = {
+    "f1": [("f4", 1.875, 2.875, 1)],
+    "f2": [("f4", 1.875, 5.625, 1)],
+    "f3": [("f1", 1.4166666666666665, 8.333333333333334, 1)],
+    "f4": [("f1", 1.4166666666666665, 3.3333333333333335, 1)],
+    "f5": [],
+    "f6": [],
+    "f7": [("f4", 1.875, 11.25, 1)],
+    "f8": [("f1", 1.4166666666666665, 14.166666666666666, 1), ("f7", 1.25, 21.25, 2)],
+}
+
+
+def test_plan_solves_each_network_once(shaping, monkeypatch):
+    import qtbs.planner
+
+    solved = []
+
+    def counting_gradient_graph(network, *args):
+        solved.append(network)
+        return gradient_graph(network, *args)
+
+    monkeypatch.setattr(qtbs.planner, "gradient_graph", counting_gradient_graph)
+    n_solves = 0
+    for f in shaping.flows:
+        low = [g.id for g in shaping.flows if g.id != f.id]
+        plan = accelerate_flow(shaping, f.id, low)
+        got = [(a.flow, a.shaper_rate, a.predicted_target_rate, a.stage)
+               for a in plan.actions]
+        assert got == SHAPING_PLANS[f.id], f.id
+        assert len({id(n) for n in solved}) == len(solved), f.id
+        n_solves += len(solved)
+        solved.clear()
+    # 22 when each stage solved its last shaper's network a second time.
+    assert n_solves == 15
+
+
 def test_apply_plan_empty_is_identity(shaping):
     plan = ShapingPlan("f7", ("f4",), (), 1.0, 10.25)
     assert apply_plan(shaping, plan) == shaping
@@ -391,6 +431,30 @@ def test_taper_bisection_stops_once_floats_converge(monkeypatch):
     # base, one doubling, ~53 bisection steps, the fold, 2 + 9 samples
     # (115 when the bisection ran all 100 steps)
     assert len(calls) <= 70
+
+
+@pytest.mark.parametrize("tree", ["fat_tree", "leaf_spine_3x2"])
+def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
+    import qtbs.solver
+
+    if tree == "fat_tree":
+        args = (fat_tree, ["l5", "l6"], 20.0)
+    else:
+        net, spines = _leaf_spine(3, 2, 23.17)
+        args = (net, spines, 23.17)
+    resolve = qtbs.solver.resolve
+    vectors = []
+
+    def recording_resolve(caps, *rest):
+        vectors.append(tuple(caps))
+        return resolve(caps, *rest)
+
+    # ``gradient_graph`` calls ``resolve`` too, so the structure solve at
+    # tau0 is recorded with the re-solves.
+    monkeypatch.setattr(qtbs.solver, "resolve", recording_resolve)
+    taper_fold(*args)
+    assert len(vectors) > 2
+    assert len(set(vectors)) == len(vectors)
 
 
 def test_taper_scaled_capacity_must_be_finite():
