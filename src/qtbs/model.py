@@ -56,7 +56,9 @@ class Flow:
     path: tuple[LinkId, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+        # ``parse_network`` and derived networks already pass a tuple.
+        if type(self.path) is not tuple:
+            object.__setattr__(self, "path", tuple(self.path))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ the interned arrays.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import solver
@@ -46,6 +46,12 @@ class ShapingPlan:
     actions: tuple[ShapingAction, ...]
     floor_rate: float
     baseline_target_rate: float
+    # The planner's solve of ``apply_plan(network, plan)``, so that callers
+    # need not solve it again; None for a plan built by hand. Not part of
+    # the plan's value: excluded from repr and equality.
+    final_solution: Optional[BottleneckSolution] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def final_target_rate(self) -> float:
@@ -136,6 +142,8 @@ def accelerate_flow(
     bottleneck's fair share rises together. The cut size is the smallest
     structure-changing collision, clamped to keep every shaped flow at or
     above the floor. Stops when no candidate helps or nothing is gained.
+    The plan's ``final_solution`` is the last solve, of the network with
+    every shaper in.
     """
     if not network.has_flow(target):
         raise UnknownVertexError(target)
@@ -237,6 +245,7 @@ def accelerate_flow(
         actions=tuple(actions),
         floor_rate=floor_rate,
         baseline_target_rate=baseline,
+        final_solution=solution,
     )
 
 
@@ -292,9 +301,9 @@ def taper_fold(
     the midpoint is an end of the bracket whose gap is already known.
 
     The structure is solved once, at ``tau0``. Every other scaled capacity
-    is one kernel re-solve of that network, interned once, with the scaled
-    links' capacities replaced; only its rates are read, and each distinct
-    capacity is solved once per call.
+    is one rates-only kernel re-solve of that network, interned once, with
+    the scaled links' capacities replaced; each distinct capacity is solved
+    once per call.
     """
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:
@@ -331,7 +340,9 @@ def taper_fold(
             check_capacity(scale_links[0], cap)
             for i in scaled:
                 caps[i] = cap
-            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows, eps)[0]
+            rate = solved[cap] = solver.resolve(
+                caps, flow_links, link_flows, eps, rates_only=True
+            )
         return rate
 
     # Band membership is frozen at tau0; two adjacent bands fold when the

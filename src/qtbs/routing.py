@@ -5,7 +5,8 @@ of the rate a hypothetical new flow would converge to if routed there: the
 time to push one bit from the source. Every frontier relaxation re-solves
 the network with the tentative flow (the probe) added. The network is
 interned once per call and each probe is spliced into those arrays, so a
-probe costs one kernel solve and builds no ``Network`` or structure.
+probe costs one kernel solve and builds no ``Network`` or structure. That
+solve is rates-only and stops as soon as the probe resolves.
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]
     The probe takes the next free flow index, but is spliced into each of
     its links' flow lists at its id rank, where ``network.with_flow`` would
     sort it. The kernel reads those lists in order, so it does the same
-    arithmetic as on the probed network. Paths must be valid.
+    arithmetic as on the probed network. It stops once the probe resolves
+    (``until``), which leaves the probe's rate exact. Paths must be valid.
     """
     if network.has_link(PROBE_FLOW_ID) or network.has_flow(PROBE_FLOW_ID):
         # The probed network repeats the probe's id: raise what its intern
@@ -63,7 +65,7 @@ def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]
             flows = link_flows[l]
             at = bisect_left(flows, rank)
             spliced[l] = flows[:at] + [probe] + flows[at:]
-        return solver.resolve(caps, flow_links, spliced, eps)[0][probe]
+        return solver.resolve(caps, flow_links, spliced, eps, until=probe)[probe]
 
     return rate
 

@@ -231,7 +231,9 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     return dict(zip(graph.vertices(), level))
 
 
-def resolve(caps, flow_links, link_flows, eps: float = EPS) -> tuple:
+def resolve(
+    caps, flow_links, link_flows, eps: float = EPS, *, rates_only=False, until=None
+):
     """One kernel solve of interned arrays, as ``interned`` returns them.
 
     ``gradient_graph`` is ``interned`` plus this call plus the structure.
@@ -239,12 +241,20 @@ def resolve(caps, flow_links, link_flows, eps: float = EPS) -> tuple:
     routing adds a probe flow, ``taper_fold`` replaces capacities. They
     call ``solver.interned`` and ``solver.resolve``, the names
     ``gradient_graph`` uses, so every solve goes through one set of names.
-    The kernel only reads its arguments. Returns the kernel's output tuple
-    ``(rate, share, bneck, trav, pop_order, pops, updates)``; a kernel
-    failure raises ``SolverError``.
+    The kernel only reads its arguments; a kernel failure raises
+    ``SolverError``. The keywords go to the kernel and pick what it returns:
+
+    - by default, the full output tuple
+      ``(rate, share, bneck, trav, pop_order, pops, updates)``;
+    - with ``rates_only=True``, the ``rate`` list alone, equal to the full
+      solve's;
+    - with ``until=f``, a list in which only ``rate[f]`` may be read: the
+      kernel stops once flow ``f`` resolves.
     """
     try:
-        return _kernel.solve(caps, flow_links, link_flows, eps)
+        return _kernel.solve(
+            caps, flow_links, link_flows, eps, rates_only=rates_only, until=until
+        )
     except RuntimeError as exc:
         raise SolverError(str(exc)) from exc
 

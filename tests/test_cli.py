@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -8,7 +9,9 @@ from json.encoder import encode_basestring_ascii
 import pytest
 
 import qtbs.cli
-from qtbs import gradient_graph, jain_index, parse_network, random_network, to_document
+from qtbs import (
+    gradient_graph, jain_index, parse_network, random_network, serialize_network, to_document,
+)
 from qtbs.cli import main
 
 from conftest import FIXTURES
@@ -142,6 +145,50 @@ def test_shape_json_jain(capsys):
     assert doc["final_target_rate"] == pytest.approx(16.875)
     assert [a["flow"] for a in doc["actions"]] == ["f4", "f3", "f8"]
     assert 0 < doc["jain_index"] <= 1
+
+
+# sha256 of stdout, as written when ``shape`` solved the shaped network a
+# second time after the planner.
+SHAPE_STDOUT = {
+    ("f8", "f1,f2,f3,f4,f5,f6,f7", None): (
+        "d5c1e7b6102da763f5414942a19b8a1f375aaf9b61c7a0ba107797ca8e07afdc",
+        "925179b2ebdedf8eb2d9f7b35de5f758248395f0c3839f9694d30bbde38c0f58",
+    ),
+    ("f7", "f1,f3,f4,f8", "1.25"): (
+        "d803b4fcd91995f29e3bc3bec5cd988711be552d016c3cefa0bba86ce5bd0273",
+        "2c038bc5d15ee4316b7cb022777d3f6f160d4aea28e4b001e1939f506964e26d",
+    ),
+    ("f7", "f8", None): (
+        "358bd05c16ca5054d1aa1cd90661b6a1cc41a75ecad060189dd1d5e2ca0870cb",
+        "47e1680e54584dffc077fad5a07135eaa7f5e79160034c4d912a4e3fb23b7111",
+    ),
+}
+
+
+@pytest.mark.parametrize("target,low,floor", list(SHAPE_STDOUT))
+def test_shape_reuses_the_planners_last_solve(capsys, monkeypatch, target, low, floor):
+    import qtbs.planner
+
+    solved = []
+
+    def counting_gradient_graph(network, *args):
+        solved.append(network)
+        return gradient_graph(network, *args)
+
+    monkeypatch.setattr(qtbs.cli, "gradient_graph", counting_gradient_graph)
+    monkeypatch.setattr(qtbs.planner, "gradient_graph", counting_gradient_graph)
+    argv = ["shape", FIXTURES / "shaping.json", "--target", target, "--low-priority", low]
+    if floor is not None:
+        argv += ["--floor", floor]
+    for fmt, want in zip(("table", "json"), SHAPE_STDOUT[target, low, floor]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+        # One solve per distinct network: no network is solved twice.
+        assert len(set(map(serialize_network, solved))) == len(solved), fmt
+        if target == "f8":
+            assert len(solved) == 3  # 4 when the CLI solved the last one again
+        solved.clear()
 
 
 def test_taper(capsys):

@@ -1,16 +1,18 @@
-"""The lazy-heap kernel against an eager-heap reference.
+"""The lazy-heap kernel against an eager-heap reference, and its modes.
 
 ``_eager_solve`` is the kernel as it was before the heap became lazy: it
 pushes one heap entry for every fair-share update and skips entries whose
 key no longer matches. The lazy kernel must return exactly the same tuple:
-rates, shares, edges in emission order, pop order and both counters.
+rates, shares, edges in emission order, pop order and both counters. The
+rates-only and early-exit modes must return the full solve's rates.
 """
 import heapq
+import math
 import random
 
 import pytest
 
-from qtbs import Flow, Link, Network, _kernel_py, random_network
+from qtbs import Flow, Link, Network, _kernel, _kernel_py, random_network
 from qtbs.model import interned
 
 _INF = float("inf")
@@ -145,16 +147,80 @@ def test_updates_count_share_updates_not_pushes():
     assert updates == 2
 
 
-def test_matches_eager_heap_when_rounding_lowers_a_share():
+def _rounding_network():
     # 34 flows share c; when f00 leaves at a rate two ulps below c's share,
     # c's recomputed share rounds one ulp *below* its old one. It must then
     # pop before b, whose share equals c's old share and whose id is smaller.
     s, c_cap = 12042450062.759798, 409443302133.83325
-    b_cap = c_cap / 34
     flows = [Flow("f00", ("a", "c")), Flow("g", ("b",))]
     flows += [Flow(f"f{i:02d}", ("c",)) for i in range(1, 34)]
-    net = Network((Link("a", s), Link("b", b_cap), Link("c", c_cap)), tuple(flows))
+    return Network((Link("a", s), Link("b", c_cap / 34), Link("c", c_cap)), tuple(flows))
+
+
+def test_matches_eager_heap_when_rounding_lowers_a_share():
+    net = _rounding_network()
     out = _kernel_py.solve(*interned(net)[2:], 1e-9)
-    assert out[1][2] < b_cap
+    assert out[1][2] < net.links[1].capacity
     assert out[4] == [0, 2, 1]
     _assert_same(net, 1e-9)
+
+
+def _rounding_network_with_shared_flow():
+    # As above, but flow h crosses b and c, and b's share equals c's old
+    # share exactly. c's lowered share must pop first and set h's rate; b
+    # popping first would give h c's old share, one ulp higher.
+    c_cap = 127530984730.19818
+    old = c_cap / 35
+    flows = [Flow("f00", ("a", "c")), Flow("g", ("b",)), Flow("h", ("b", "c"))]
+    flows += [Flow(f"f{i:02d}", ("c",)) for i in range(1, 34)]
+    links = (Link("a", math.nextafter(old, 0)), Link("b", 2 * old), Link("c", c_cap))
+    return Network(links, tuple(flows))
+
+
+def test_matches_eager_heap_when_rounding_lowers_a_shared_flows_share():
+    net = _rounding_network_with_shared_flow()
+    out = _kernel_py.solve(*interned(net)[2:], 1e-9)
+    assert out[4] == [0, 2, 1]
+    assert out[0][interned(net)[1].index("h")] < net.links[2].capacity / 35
+    _assert_same(net, 1e-9)
+
+
+def _rate_corpus():
+    """The networks above: random, tied capacities, and the rounding cases."""
+    nets = [random_network(seed, max_links=14, max_flows=40, max_path_len=5)
+            for seed in range(150)]
+    for capacities in [(4.0, 6.0), (1.0, 2.0, 3.0), (0.7, 0.1, 0.3)]:
+        nets += [_few_capacities(seed, capacities) for seed in range(120)]
+    nets += [_rounding_network(), _rounding_network_with_shared_flow()]
+    return nets
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_rates_only_equals_full_solve_rates(eps):
+    for net in _rate_corpus():
+        args = interned(net)[2:]
+        assert _kernel_py.solve(*args, eps, rates_only=True) == _kernel_py.solve(*args, eps)[0]
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_early_exit_rate_equals_full_solve_rate(eps):
+    stopped_early = 0
+    for net in _rate_corpus():
+        args = interned(net)[2:]
+        rate = _kernel_py.solve(*args, eps)[0]
+        for f in range(len(rate)):
+            early = _kernel_py.solve(*args, eps, until=f)
+            assert early[f] == rate[f]
+            stopped_early += _INF in early
+    assert stopped_early > 1000  # some flows were left unresolved
+
+
+def test_full_solve_kernel_takes_the_modes():
+    # A kernel with only the full solve, as the compiled one, answers a
+    # rates-only or early-exit call with its full solve's rates.
+    solve = _kernel._with_modes(lambda *args: _kernel_py.solve(*args))
+    args = interned(random_network(7, max_links=14, max_flows=40, max_path_len=5))[2:]
+    full = _kernel_py.solve(*args, 1e-9)
+    assert solve(*args, 1e-9) == full
+    assert solve(*args, 1e-9, rates_only=True) == full[0]
+    assert solve(*args, 1e-9, until=3) == full[0]

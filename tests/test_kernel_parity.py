@@ -1,7 +1,7 @@
 """The compiled kernel must be bit-identical to the pure-Python one."""
 import pytest
 
-from qtbs import _kernel_py, random_network
+from qtbs import _kernel, _kernel_py, random_network
 from qtbs.model import interned
 
 compiled = pytest.importorskip(
@@ -32,3 +32,15 @@ def test_kernels_agree_on_ties():
     py = _kernel_py.solve(caps, flow_links, link_flows, 1e-9)
     cy = compiled.solve(caps, flow_links, link_flows, 1e-9)
     assert py == cy
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rates_only_modes_agree(seed):
+    # The compiled kernel answers rates-only and early-exit calls with its
+    # full solve; the pure kernel runs its rates-only loop.
+    net = random_network(seed, max_links=14, max_flows=40, max_path_len=5)
+    args = interned(net)[2:]
+    cy = _kernel._with_modes(compiled.solve)
+    assert cy(*args, 1e-9, rates_only=True) == _kernel_py.solve(*args, 1e-9, rates_only=True)
+    for f in range(len(net.flows)):
+        assert cy(*args, 1e-9, until=f)[f] == _kernel_py.solve(*args, 1e-9, until=f)[f]

@@ -22,6 +22,12 @@ from qtbs import (
 )
 
 
+def test_flow_path_is_always_a_tuple():
+    for path in (("l1", "l2"), ["l1", "l2"], iter(["l1", "l2"])):
+        got = Flow("f", path).path
+        assert type(got) is tuple and got == ("l1", "l2")
+
+
 def test_parse_minimal():
     net = parse_network('{"links":[{"id":"l1","capacity":10}],'
                         '"flows":[{"id":"f1","links":["l1"]}]}')

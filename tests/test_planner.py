@@ -221,6 +221,18 @@ def test_plan_solves_each_network_once(shaping, monkeypatch):
     assert n_solves == 15
 
 
+def test_plan_carries_the_solve_of_the_applied_plan(shaping):
+    for target, low in [("f8", ["f1", "f2", "f3", "f4", "f5", "f6", "f7"]), ("f7", ["f8"])]:
+        plan = accelerate_flow(shaping, target, low)
+        applied = apply_plan(shaping, plan)
+        assert plan.final_solution.network == applied
+        assert plan.final_solution.rate == gradient_graph(applied).rate
+        # The solve is not part of the plan's value.
+        bare = dataclasses.replace(plan, final_solution=None)
+        assert plan == bare and hash(plan) == hash(bare)
+        assert repr(plan) == repr(bare) and "final_solution" not in repr(plan)
+
+
 def test_apply_plan_empty_is_identity(shaping):
     plan = ShapingPlan("f7", ("f4",), (), 1.0, 10.25)
     assert apply_plan(shaping, plan) == shaping
@@ -420,9 +432,9 @@ def test_taper_bisection_stops_once_floats_converge(monkeypatch):
     solve = qtbs._kernel.solve
     calls = []
 
-    def counting_solve(*args):
+    def counting_solve(*args, **kwargs):
         calls.append(1)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     net, spines = _leaf_spine(3, 2, 23.17)
     monkeypatch.setattr(qtbs._kernel, "solve", counting_solve)
@@ -445,9 +457,9 @@ def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
     resolve = qtbs.solver.resolve
     vectors = []
 
-    def recording_resolve(caps, *rest):
+    def recording_resolve(caps, *rest, **kwargs):
         vectors.append(tuple(caps))
-        return resolve(caps, *rest)
+        return resolve(caps, *rest, **kwargs)
 
     # ``gradient_graph`` calls ``resolve`` too, so the structure solve at
     # tau0 is recorded with the re-solves.

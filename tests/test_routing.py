@@ -275,7 +275,9 @@ def test_probe_splice_gives_the_probed_networks_kernel_run(monkeypatch):
     # The probe takes the last flow index but sits at its id rank in every
     # flow list, so the kernel runs exactly as on the probed network: same
     # pops, shares and counters, and the same edges once the probe's index
-    # is mapped to its rank there.
+    # is mapped to its rank there. The probe solve stops early, so the
+    # recorded arrays are re-solved in full; its probe rate must equal the
+    # full run's.
     import qtbs.solver
     from qtbs import _kernel
     from qtbs.model import interned
@@ -283,9 +285,10 @@ def test_probe_splice_gives_the_probed_networks_kernel_run(monkeypatch):
     runs = []
     resolve = qtbs.solver.resolve
 
-    def recording_resolve(*args):
-        runs.append(resolve(*args))
-        return runs[-1]
+    def recording_resolve(*args, **kwargs):
+        out = resolve(*args, **kwargs)
+        runs.append((resolve(*args), out, kwargs))
+        return out
 
     monkeypatch.setattr(qtbs.solver, "resolve", recording_resolve)
     rng = random.Random(3)
@@ -295,11 +298,13 @@ def test_probe_splice_gives_the_probed_networks_kernel_run(monkeypatch):
         ids = [l.id for l in net.links]
         path = rng.sample(ids, rng.randint(1, min(4, len(ids))))
         rate_if_routed(net, path)
-        got = runs.pop()
+        got, early, kwargs = runs.pop()
         probed = interned(net.with_flow(Flow(PROBE_FLOW_ID, tuple(path))))
         want = _kernel.solve(*probed[2:], EPS)
         rank = probed[1].index(PROBE_FLOW_ID)
         probe = len(net.flows)
+        assert kwargs == {"until": probe}
+        assert early[probe] == want[0][rank]
 
         def at_rank(f):
             return rank if f == probe else f + (f >= rank)
