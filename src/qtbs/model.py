@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .errors import (
@@ -86,6 +87,10 @@ class Network:
     routers: tuple[RouterId, ...] = ()
     _link_by_id: Mapping[LinkId, Link] = field(init=False, repr=False, compare=False)
     _flow_by_id: Mapping[FlowId, Flow] = field(init=False, repr=False, compare=False)
+    # The interned arrays, set only by ``parse_network``; see ``interned``.
+    _arrays: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         links = tuple(sorted(self.links, key=lambda l: l.id))
@@ -225,8 +230,12 @@ def parse_network(document: str | bytes | dict) -> Network:
             if val is not None and not isinstance(val, str):
                 raise NetworkFormatError(f"link {lid!r}: '{name}' must be a string")
         links.append(Link(lid, cap, src, dst))
+    links.sort(key=attrgetter("id"))
+    link_ids = [l.id for l in links]
+    index = dict(zip(link_ids, range(len(link_ids))))
 
     flows: list[Flow] = []
+    flow_links: list[list[int]] = []
     seen_flows: set[str] = set()
     if not isinstance(doc["flows"], list):
         raise NetworkFormatError("'flows' must be an array")
@@ -250,24 +259,41 @@ def parse_network(document: str | bytes | dict) -> Network:
         path = entry.get("links")
         if not (isinstance(path, list) and path):
             raise NetworkFormatError(f"flow {fid!r}: 'links' must be a non-empty array")
-        # One set test decides a valid path: distinct members, all of them
-        # seen link ids, which are strings. Only a failing path runs the
-        # checks below, whose order picks the error and its message.
+        # The path's sorted link indices decide a valid path: every entry is
+        # a link id (a string), and the indices are distinct. Only a failing
+        # path runs the checks below, whose order picks the error and its
+        # message.
         try:
-            members = set(path)
-        except TypeError:  # an unhashable entry
-            members = None
-        if members is None or len(members) != len(path) or not members <= seen_links:
+            ls = sorted(map(index.__getitem__, path))
+        except (KeyError, TypeError):  # not a link id, or unhashable
+            ls = None
+        if ls is None or len(set(ls)) != len(ls):
             if not all(isinstance(x, str) for x in path):
                 raise NetworkFormatError(f"flow {fid!r}: 'links' must contain link ids")
-            if len(members) != len(path):
+            if len(set(path)) != len(path):
                 raise NetworkFormatError(f"flow {fid!r}: repeated link in path")
             for lid in path:
                 if lid not in seen_links:
                     raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
         flows.append(Flow(fid, tuple(path)))
+        flow_links.append(ls)
 
-    return Network(tuple(links), tuple(flows), tuple(routers))
+    # Flows in id order, as ``Network`` keeps them, and each link's flows.
+    flow_ids = [f.id for f in flows]
+    order = sorted(range(len(flows)), key=flow_ids.__getitem__)
+    flow_ids = list(map(flow_ids.__getitem__, order))
+    flows = list(map(flows.__getitem__, order))
+    flow_links = list(map(flow_links.__getitem__, order))
+    link_flows: list[list[int]] = [[] for _ in link_ids]
+    for fi, ls in enumerate(flow_links):
+        for li in ls:
+            link_flows[li].append(fi)
+    network = Network(tuple(links), tuple(flows), tuple(routers))
+    caps = [l.capacity for l in links]
+    object.__setattr__(
+        network, "_arrays", (link_ids, flow_ids, caps, flow_links, link_flows)
+    )
+    return network
 
 
 def to_document(network: Network) -> dict:
@@ -332,12 +358,22 @@ def interned(network: Network):
     Returns (link_ids, flow_ids, caps, flow_links, link_flows) where ids are
     sorted ascending and adjacency lists hold sorted dense indices.
 
-    ``Network`` construction is permissive, so this walk also rejects, with a
-    typed error, every network the kernel would solve to a silently wrong
-    answer: duplicate link or flow ids (a flow id equal to a link id
-    included), a capacity that is not finite and strictly positive, an empty
-    path, a repeated link in a path, and a link that does not exist.
+    The five outer lists are fresh on every call, but the inner lists of
+    ``flow_links`` and ``link_flows`` may be shared with the network and with
+    other calls: a caller may assign ``caps[i]``, append to the outer lists
+    or replace their entries, but never edit an inner list in place.
+
+    A network that ``parse_network`` built carries these arrays, made while
+    the document was checked, so they are copied, not rebuilt. Any other
+    ``Network`` (built through the library, or derived by ``with_flow`` and
+    the like) is interned here. Its construction is permissive, so this walk
+    also rejects, with a typed error, every network the kernel would solve to
+    a silently wrong answer: duplicate link or flow ids (a flow id equal to a
+    link id included), a capacity that is not finite and strictly positive,
+    an empty path, a repeated link in a path, and a link that does not exist.
     """
+    if network._arrays is not None:
+        return tuple(a.copy() for a in network._arrays)
     link_ids = [l.id for l in network.links]
     flow_ids = [f.id for f in network.flows]
     ids = link_ids + flow_ids  # links and flows share one vertex namespace

@@ -303,7 +303,9 @@ def taper_fold(
     The structure is solved once, at ``tau0``. Every other scaled capacity
     is one rates-only kernel re-solve of that network, interned once, with
     the scaled links' capacities replaced; each distinct capacity is solved
-    once per call.
+    once per call. ``caps`` is this call's own list, so its entries are
+    assigned in place; the inner lists of ``flow_links`` and ``link_flows``
+    may be shared with the network and are only read.
     """
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:

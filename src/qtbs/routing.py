@@ -46,6 +46,11 @@ def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]
     sort it. The kernel reads those lists in order, so it does the same
     arithmetic as on the probed network. It stops once the probe resolves
     (``until``), which leaves the probe's rate exact. Paths must be valid.
+
+    ``interned`` returns fresh outer lists whose inner lists may be shared
+    with the network: the probe's path goes in as a new entry of
+    ``flow_links``, and each spliced link gets a new list in a copy of
+    ``link_flows``; no inner list is edited.
     """
     if network.has_link(PROBE_FLOW_ID) or network.has_flow(PROBE_FLOW_ID):
         # The probed network repeats the probe's id: raise what its intern

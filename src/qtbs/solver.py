@@ -197,10 +197,51 @@ class BottleneckSolution:
 def _levels(graph: GradientGraph) -> dict[str, int]:
     """Longest-path depth over bottleneck and traversal edges.
 
-    Backward edges are ignored; the remaining DAG is ordered by strictly
-    increasing fair share along edges, so a topological pass terminates.
-    Runs on the dense index pairs: vertex ``i`` is a link for
-    ``i < n_links`` and flow ``i - n_links`` otherwise.
+    Backward edges are ignored. A link's level is one more than the highest
+    level of the flows that traverse it without a bottleneck there (0 if
+    none); a flow's is one more than its bottleneck links' highest.
+
+    One sweep over ``bottleneck_pairs``, which the kernel emits grouped by
+    link in pop order: links pop in ascending fair share and every kept edge
+    goes to a strictly larger value, so each group's traversal in-flows
+    already have their final levels. The sweep's answer is kept only if
+    every group's link level equals that link's level recomputed from the
+    final flow levels: then it solves the longest-path equations, whose
+    solution is unique on a DAG (and which a cycle cannot satisfy).
+    Otherwise, as for hand-built graphs, cycles or a share order that
+    rounding inverted, ``_levels_topological`` decides.
+    """
+    trav_in: list[list[int]] = [[] for _ in graph.link_ids]
+    for f, l in graph.traversal_pairs:
+        trav_in[l].append(f)
+    flow_level = [0] * len(graph.flow_ids)
+    groups = []  # (link, the level its group used)
+    prev = -1
+    for l, f in graph.bottleneck_pairs:
+        if l != prev:
+            prev = l
+            ins = trav_in[l]
+            up = max(map(flow_level.__getitem__, ins)) + 2 if ins else 1
+            groups.append((l, up - 1))
+        if flow_level[f] < up:
+            flow_level[f] = up
+    link_level = [
+        max(map(flow_level.__getitem__, ins)) + 1 if ins else 0 for ins in trav_in
+    ]
+    for l, lv in groups:
+        if link_level[l] != lv:
+            return _levels_topological(graph)
+    return dict(zip(graph.vertices(), link_level + flow_level))
+
+
+def _levels_topological(graph: GradientGraph) -> dict[str, int]:
+    """``_levels`` by an in-degree pass, for any graph.
+
+    A solved structure's edges go to strictly larger values, so it is a DAG
+    and the pass visits every vertex; a forward cycle raises
+    ``SolverError``. Runs on the
+    dense index pairs: vertex ``i`` is a link for ``i < n_links`` and flow
+    ``i - n_links`` otherwise.
     """
     n_links = len(graph.link_ids)
     n = n_links + len(graph.flow_ids)

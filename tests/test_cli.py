@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from json.encoder import encode_basestring_ascii
 
 import pytest
 
+import qtbs._kernel
 import qtbs.cli
 from qtbs import (
     gradient_graph, jain_index, parse_network, random_network, serialize_network, to_document,
@@ -371,3 +373,64 @@ def test_solve_json_stdout_in_subprocess(capsys, tmp_path):
         )
         _, out, _ = run(capsys, "solve", path, "--format", "json")
         assert proc.stdout == out.encode(), path.name
+
+
+# -- the cyclic collector is paused for a command, and only by the CLI ---------
+
+@pytest.fixture
+def gc_state():
+    """Sets the collector as a test asks and restores it afterwards."""
+    before = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(before)
+
+
+@pytest.fixture
+def kernel_gc(monkeypatch):
+    """``gc.isenabled()`` at each kernel solve."""
+    during = []
+    solve = qtbs._kernel.solve
+
+    def recording(*args, **kwargs):
+        during.append(gc.isenabled())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qtbs._kernel, "solve", recording)
+    return during
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code, solves", [
+    (["solve", str(FIXTURES / "b4.json"), "--format", "json"], 0, 1),
+    (["grad", str(FIXTURES / "b4.json"), "--target", "nowhere"], 1, 1),
+    (["solve", str(FIXTURES / "missing.json")], 1, 0),
+])
+def test_main_pauses_gc_and_restores_the_callers_state(
+    capsys, gc_state, kernel_gc, enabled, argv, code, solves
+):
+    gc_state(enabled)
+    assert main(argv) == code
+    assert gc.isenabled() is enabled
+    assert kernel_gc == [False] * solves
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_gc_when_argparse_exits(capsys, gc_state, enabled):
+    gc_state(enabled)
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_solve_leaves_gc_alone(gc_state, kernel_gc, enabled):
+    gc_state(enabled)
+    gradient_graph(parse_network((FIXTURES / "b4.json").read_text()))
+    assert gc.isenabled() is enabled
+    assert kernel_gc == [enabled]

@@ -3,7 +3,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qtbs import (
     CapacityError,
@@ -20,6 +20,9 @@ from qtbs import (
     serialize_network,
     validate,
 )
+from qtbs.model import PROBE_FLOW_ID, interned
+
+from conftest import FIXTURES
 
 
 def test_flow_path_is_always_a_tuple():
@@ -306,3 +309,116 @@ def test_parse_error_type_and_message(doc, error, message):
         parse_network(doc)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# -- the interned arrays that parse_network builds ----------------------------
+
+def _library_twin(doc):
+    """The network of ``doc`` built through the library, without the parser."""
+    links = tuple(
+        Link(e["id"], float(e["capacity"]), e.get("src"), e.get("dst"))
+        for e in doc["links"]
+    )
+    flows = tuple(Flow(e["id"], tuple(e["links"])) for e in doc["flows"])
+    return Network(links, flows, tuple(doc.get("routers", ())))
+
+
+def _assert_parse_arrays_match_library(doc):
+    parsed = parse_network(json.dumps(doc))
+    twin = _library_twin(doc)
+    assert parsed._arrays is not None and twin._arrays is None
+    assert interned(parsed) == interned(twin)
+    assert parsed == twin and hash(parsed) == hash(twin)
+    assert repr(parsed) == repr(twin)
+    return parsed
+
+
+def test_parse_arrays_match_library_intern_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.json")):
+        _assert_parse_arrays_match_library(json.loads(path.read_text()))
+
+
+_id_text = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3
+).filter(lambda s: s != PROBE_FLOW_ID)
+
+
+@st.composite
+def _documents(draw):
+    """Documents whose links and flows come in any order, with escaped and
+    non-ASCII ids; some have no flows, some a link no flow uses."""
+    ids = draw(st.lists(_id_text, min_size=1, max_size=14, unique=True))
+    n_links = draw(st.integers(1, len(ids)))
+    link_ids = ids[:n_links]
+    links = [{"id": lid, "capacity": draw(st.floats(0.01, 1000.0))} for lid in link_ids]
+    flows = [
+        {"id": fid, "links": draw(st.lists(st.sampled_from(link_ids), min_size=1,
+                                           max_size=4, unique=True))}
+        for fid in ids[n_links:]
+    ]
+    return {"links": draw(st.permutations(links)), "flows": draw(st.permutations(flows))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+def test_parse_arrays_match_library_intern_on_random_documents(doc):
+    _assert_parse_arrays_match_library(doc)
+
+
+def test_parse_arrays_match_library_intern_on_edge_documents():
+    flowless = {"links": [{"id": "b", "capacity": 2}, {"id": "a", "capacity": 1}],
+                "flows": []}
+    _assert_parse_arrays_match_library(flowless)
+    escaped = {
+        "links": [{"id": "z", "capacity": 3}, {"id": "a\"\\", "capacity": 1},
+                  {"id": "é", "capacity": 2}, {"id": "idle", "capacity": 9}],
+        "flows": [{"id": "☃", "links": ["é", "a\"\\"]},
+                  {"id": "f\n", "links": ["z", "é"]},
+                  {"id": "A", "links": ["a\"\\"]}],
+    }
+    parsed = _assert_parse_arrays_match_library(escaped)
+    link_ids, flow_ids, _, _, link_flows = interned(parsed)
+    assert link_ids == sorted(link_ids) and flow_ids == sorted(flow_ids)
+    assert link_flows[link_ids.index("idle")] == []
+
+
+def test_interned_outer_lists_are_fresh(b4):
+    expected = interned(_library_twin(json.loads((FIXTURES / "b4.json").read_text())))
+    first = interned(b4)
+    first[2][0] = -1.0
+    first[3].append([0])
+    first[3][1] = [5]
+    first[4][0] = []
+    for outer in first:
+        outer.clear()
+    assert interned(b4) == expected
+
+
+def test_derived_networks_carry_no_arrays(b4):
+    lid = b4.links[0].id
+    derived = (
+        b4.with_flow(Flow("new", (lid,))),
+        b4.with_capacity(lid, 3.0),
+        b4.with_link(Link("spare", 1.0)),
+    )
+    for net in derived:
+        assert net._arrays is None
+        assert interned(net) == interned(Network(net.links, net.flows, net.routers))
+
+
+def test_parse_fallback_keeps_first_failing_check():
+    """Entries the sorted-index lookup rejects by ``KeyError`` or
+    ``TypeError`` get the message of the first failing check."""
+    cases = [
+        ([True], NetworkFormatError, "flow 'f1': 'links' must contain link ids"),
+        ([None, "l1"], NetworkFormatError, "flow 'f1': 'links' must contain link ids"),
+        ([{"a": 1}], NetworkFormatError, "flow 'f1': 'links' must contain link ids"),
+        (["l1", "l9", "l1"], NetworkFormatError, "flow 'f1': repeated link in path"),
+        (["l9", "l8"], UnknownLinkError, "flow 'f1' references unknown link 'l9'"),
+    ]
+    for path, error, message in cases:
+        doc = {"links": [_L1], "flows": [{"id": "f0", "links": ["l1"]},
+                                         {"id": "f1", "links": path}]}
+        with pytest.raises(error) as info:
+            parse_network(doc)
+        assert type(info.value) is error and str(info.value) == message

@@ -14,7 +14,9 @@ from qtbs import (
     random_network,
     region_of_influence,
 )
-from qtbs.solver import _levels
+import qtbs.solver
+from qtbs.solver import _levels, _levels_topological
+from test_kernel import _few_capacities
 
 TOP_FLOWS = ["f1", "f2", "f3", "f4", "f5", "f7", "f8", "f10", "f13", "f14", "f15", "f16"]
 
@@ -277,3 +279,52 @@ def test_levels_reject_a_forward_cycle():
     cyclic = GradientGraph(("l1",), ("f1",), ((0, 0),), ((0, 0),))
     with pytest.raises(SolverError):
         _levels(cyclic)
+
+
+# -- levels from one sweep over the kernel's bottleneck groups ----------------
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Graphs for which ``_levels`` fell back to the topological pass."""
+    seen = []
+
+    def recording(graph):
+        seen.append(graph)
+        return _levels_topological(graph)
+
+    monkeypatch.setattr(qtbs.solver, "_levels_topological", recording)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
+def test_levels_sweep_equals_topological_pass(eps, fallbacks):
+    nets = [load(path.name) for path in sorted(FIXTURES.glob("*.json"))]
+    nets += [random_network(seed, max_links=14, max_flows=40, max_path_len=5)
+             for seed in range(150)]
+    for capacities in ((1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)):
+        nets += [_few_capacities(seed, capacities) for seed in range(60)]
+    for net in nets:
+        graph = gradient_graph(net, eps).graph
+        got = _levels(graph)
+        assert got == _levels_topological(graph)
+        assert list(got) == list(graph.vertices())
+    # The kernel's pop order always made the sweep's answer consistent.
+    assert fallbacks == []
+
+
+def test_levels_sweep_with_a_link_in_two_groups(fallbacks):
+    # a -> f, b -> g, a -> h as bottleneck edges (a appears twice); f -> b
+    # as a traversal edge.
+    graph = GradientGraph(("a", "b"), ("f", "g", "h"),
+                          ((0, 0), (1, 1), (0, 2)), ((0, 1),))
+    expected = {"a": 0, "b": 2, "f": 1, "g": 3, "h": 1}
+    assert _levels(graph) == expected == _levels_topological(graph)
+    assert fallbacks == []
+
+
+def test_levels_fall_back_when_a_group_comes_too_early(fallbacks):
+    # b's group comes before f's, yet f traverses b: the sweep reads f's
+    # level before it is final, and the recomputed level of b differs.
+    graph = GradientGraph(("a", "b"), ("f", "g"), ((1, 1), (0, 0)), ((0, 1),))
+    assert _levels(graph) == {"a": 0, "b": 2, "f": 1, "g": 3}
+    assert fallbacks == [graph]
