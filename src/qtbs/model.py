@@ -353,7 +353,7 @@ def validate(network: Network) -> list[Violation]:
 
 
 def interned(network: Network):
-    """Dense index view used by the solver kernels.
+    """Dense index view used by the solve kernel.
 
     Returns (link_ids, flow_ids, caps, flow_links, link_flows) where ids are
     sorted ascending and adjacency lists hold sorted dense indices.

@@ -70,12 +70,11 @@ def _with_shaper(network: Network, flow_id: FlowId, cap: float) -> Network:
         raise DuplicateShaperError(f"flow {flow_id!r} already has a shaper")
     if cap <= 0:
         raise PlanError(f"shaper rate for {flow_id!r} must be positive, got {cap}")
-    shaped = network.with_link(Link(lid, cap))
     flows = tuple(
         Flow(f.id, f.path + (lid,)) if f.id == flow_id else f
-        for f in shaped.flows
+        for f in network.flows
     )
-    return Network(shaped.links, flows, shaped.routers)
+    return Network(network.links + (Link(lid, cap),), flows, network.routers)
 
 
 def apply_plan(network: Network, plan: ShapingPlan) -> Network:
@@ -97,7 +96,7 @@ def apply_plan(network: Network, plan: ShapingPlan) -> Network:
 def _true_gradients(solution: BottleneckSolution, flow_id: FlowId):
     """One-sided derivatives w.r.t. the flow's rate, from a downward probe."""
     res = forward_grad(solution, Perturbation(flow_id, -1))
-    return res.flow_derivative, res.link_derivative, res
+    return res.flow_derivative, res.link_derivative
 
 
 def _collision_rho(
@@ -180,7 +179,7 @@ def accelerate_flow(
 
         if len(bottlenecks) == 1:
             ranked = sorted(
-                (g_flow[target], f) for f, (g_flow, _, _) in grads.items()
+                (g_flow[target], f) for f, (g_flow, _) in grads.items()
             )
             best_grad, best_flow = ranked[0]
             if best_grad >= -eps:
@@ -191,7 +190,7 @@ def accelerate_flow(
             covered = True
             for b in bottlenecks:
                 ranked = sorted(
-                    (g_link.get(b, 0.0), f) for f, (_, g_link, _) in grads.items()
+                    (g_link.get(b, 0.0), f) for f, (_, g_link) in grads.items()
                 )
                 g_b, f_b = ranked[0]
                 if g_b >= -eps:
@@ -205,7 +204,7 @@ def accelerate_flow(
         joint_link_grad: dict[LinkId, float] = {}
         region_links: set[LinkId] = set()
         for f in chosen:
-            _, g_link, _ = grads[f]
+            _, g_link = grads[f]
             for l, g in g_link.items():
                 joint_link_grad[l] = joint_link_grad.get(l, 0.0) + g
             region_links.update(

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from qtbs import Flow, Link, Network, _kernel, _kernel_py, random_network
+from qtbs import Flow, Link, Network, _kernel, random_network
 from qtbs.model import interned
 
 _INF = float("inf")
@@ -111,7 +111,7 @@ EPSILONS = (1e-9, 1e-3)
 
 def _assert_same(net, eps):
     args = interned(net)[2:]
-    assert _kernel_py.solve(*args, eps) == _eager_solve(*args, eps)
+    assert _kernel.solve(*args, eps) == _eager_solve(*args, eps)
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -127,6 +127,23 @@ def test_matches_eager_heap_on_tied_capacities(eps, capacities):
         _assert_same(_few_capacities(seed, capacities), eps)
 
 
+def _tie_network():
+    # Six links of one capacity and twelve flows: fair shares tie exactly
+    # everywhere, so the link-id part of the heap order decides every pop.
+    paths = [[0, 1], [0, 4, 5, 2], [0, 4, 5, 3], [1, 0],
+             [1, 4, 5, 2], [1, 4, 5, 3], [2, 5, 4, 0], [2, 5, 4, 1],
+             [2, 3], [3, 5, 4, 0], [3, 5, 4, 1], [3, 2]]
+    links = tuple(Link(f"l{l}", 20.0) for l in range(6))
+    flows = tuple(Flow(f"f{f:02d}", tuple(f"l{l}" for l in path))
+                  for f, path in enumerate(paths))
+    return Network(links, flows)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_matches_eager_heap_on_exact_ties(eps):
+    _assert_same(_tie_network(), eps)
+
+
 def test_matches_eager_heap_at_scale():
     net = random_network(5, max_links=300, max_flows=3000, max_path_len=10)
     _assert_same(net, 1e-9)
@@ -139,7 +156,7 @@ def test_updates_count_share_updates_not_pushes():
         (Link("a", 1.0), Link("b", 2.0), Link("c", 30.0)),
         (Flow("f1", ("a", "c")), Flow("f2", ("b", "c")), Flow("f3", ("c",))),
     )
-    rate, share, _, _, pop_order, pops, updates = _kernel_py.solve(
+    rate, share, _, _, pop_order, pops, updates = _kernel.solve(
         *interned(net)[2:], 1e-9
     )
     assert rate == [1.0, 2.0, 27.0]
@@ -159,7 +176,7 @@ def _rounding_network():
 
 def test_matches_eager_heap_when_rounding_lowers_a_share():
     net = _rounding_network()
-    out = _kernel_py.solve(*interned(net)[2:], 1e-9)
+    out = _kernel.solve(*interned(net)[2:], 1e-9)
     assert out[1][2] < net.links[1].capacity
     assert out[4] == [0, 2, 1]
     _assert_same(net, 1e-9)
@@ -179,19 +196,20 @@ def _rounding_network_with_shared_flow():
 
 def test_matches_eager_heap_when_rounding_lowers_a_shared_flows_share():
     net = _rounding_network_with_shared_flow()
-    out = _kernel_py.solve(*interned(net)[2:], 1e-9)
+    out = _kernel.solve(*interned(net)[2:], 1e-9)
     assert out[4] == [0, 2, 1]
     assert out[0][interned(net)[1].index("h")] < net.links[2].capacity / 35
     _assert_same(net, 1e-9)
 
 
 def _rate_corpus():
-    """The networks above: random, tied capacities, and the rounding cases."""
+    """The networks above: random, tied capacities, exact ties and the
+    rounding cases."""
     nets = [random_network(seed, max_links=14, max_flows=40, max_path_len=5)
             for seed in range(150)]
     for capacities in [(4.0, 6.0), (1.0, 2.0, 3.0), (0.7, 0.1, 0.3)]:
         nets += [_few_capacities(seed, capacities) for seed in range(120)]
-    nets += [_rounding_network(), _rounding_network_with_shared_flow()]
+    nets += [_tie_network(), _rounding_network(), _rounding_network_with_shared_flow()]
     return nets
 
 
@@ -199,7 +217,7 @@ def _rate_corpus():
 def test_rates_only_equals_full_solve_rates(eps):
     for net in _rate_corpus():
         args = interned(net)[2:]
-        assert _kernel_py.solve(*args, eps, rates_only=True) == _kernel_py.solve(*args, eps)[0]
+        assert _kernel.solve(*args, eps, rates_only=True) == _kernel.solve(*args, eps)[0]
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -207,20 +225,10 @@ def test_early_exit_rate_equals_full_solve_rate(eps):
     stopped_early = 0
     for net in _rate_corpus():
         args = interned(net)[2:]
-        rate = _kernel_py.solve(*args, eps)[0]
+        rate = _kernel.solve(*args, eps)[0]
         for f in range(len(rate)):
-            early = _kernel_py.solve(*args, eps, until=f)
+            early = _kernel.solve(*args, eps, until=f)
             assert early[f] == rate[f]
             stopped_early += _INF in early
     assert stopped_early > 1000  # some flows were left unresolved
 
-
-def test_full_solve_kernel_takes_the_modes():
-    # A kernel with only the full solve, as the compiled one, answers a
-    # rates-only or early-exit call with its full solve's rates.
-    solve = _kernel._with_modes(lambda *args: _kernel_py.solve(*args))
-    args = interned(random_network(7, max_links=14, max_flows=40, max_path_len=5))[2:]
-    full = _kernel_py.solve(*args, 1e-9)
-    assert solve(*args, 1e-9) == full
-    assert solve(*args, 1e-9, rates_only=True) == full[0]
-    assert solve(*args, 1e-9, until=3) == full[0]
