@@ -2,16 +2,17 @@
 
 ``solver.resolve`` calls it through the module attribute, as
 ``_kernel.solve``, on a network's interned arrays, so a wrapper set on that
-attribute sees every solve.
+attribute sees every solve. ``probe_table`` reads a full solve's output to
+give routing the rate of one more flow on any path without another solve.
 """
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 IMPLEMENTATION = "python"
 
 _INF = float("inf")
 
 
-def solve(caps, flow_links, link_flows, eps, *, rates_only=False, until=None):
+def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     """Run the fair-share refinement loop on an interned network.
 
     caps:       list of link capacities
@@ -19,7 +20,7 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False, until=None):
     link_flows: per link, sorted list of traversing flow indices
     eps:        absolute tolerance for rate/fair-share ties
 
-    The keyword-only arguments pick the loop once, at entry.
+    ``rates_only`` picks the loop once, at entry.
 
     The full solve (the default) returns
     (rate, share, bneck_edges, trav_edges, pop_order, pops, updates):
@@ -32,9 +33,8 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False, until=None):
     ``rates_only=True`` returns only the ``rate`` list, bit for bit the
     full solve's. It records no edges, pop order or counters, and stops
     once every flow is resolved instead of draining the remaining links.
-    ``until=f`` (a flow index; implies ``rates_only``) also stops as soon as
-    flow ``f`` resolves, and only ``rate[f]`` may then be read. It too is
-    the full solve's, because a resolved flow's rate never changes.
+    ``probe_table`` reads a full solve's output to answer, without another
+    solve, what rate one more flow would get on a path.
 
     A link that ends up bottlenecking no flow reports its saturation level:
     leftover capacity plus its fastest flow's rate (full capacity when no
@@ -49,8 +49,8 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False, until=None):
     Every live link keeps an entry no larger than its share, so links pop
     in ascending (share, link) order, exactly as with one push per update.
     """
-    if rates_only or until is not None:
-        return _rates(caps, flow_links, link_flows, eps, until)
+    if rates_only:
+        return _rates(caps, flow_links, link_flows, eps)
     n_links = len(caps)
     n_flows = len(flow_links)
     avail = list(caps)
@@ -144,12 +144,11 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False, until=None):
     return rate, share, bneck_edges, trav_edges, pop_order, len(pop_order), updates
 
 
-def _rates(caps, flow_links, link_flows, eps, until):
+def _rates(caps, flow_links, link_flows, eps):
     """``solve``'s loop without edges, pop order, counters or final drain.
 
     The arithmetic and the heap order are ``solve``'s, so every rate it
-    sets is the same float. With ``until`` set it returns as soon as that
-    flow's rate is set.
+    sets is the same float.
     """
     n_flows = len(flow_links)
     avail = list(caps)
@@ -158,7 +157,6 @@ def _rates(caps, flow_links, link_flows, eps, until):
     closed = [n == 0 for n in nrem]
     rate = [_INF] * n_flows
     resolved = [False] * n_flows
-    stop = -1 if until is None else until  # -1 is no flow index
 
     heap = [(share[l], l) for l in range(len(caps)) if not closed[l]]
     heapify(heap)
@@ -186,8 +184,6 @@ def _rates(caps, flow_links, link_flows, eps, until):
             if resolved[f]:
                 continue
             rate[f] = s_l
-            if f == stop:
-                return rate
             resolved[f] = True
             unresolved -= 1
             for l2 in flow_links[f]:
@@ -205,3 +201,87 @@ def _rates(caps, flow_links, link_flows, eps, until):
                     share[l2] = s2
 
     return rate
+
+
+def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):
+    """Per link, where one extra flow through it would resolve.
+
+    ``caps``, ``link_flows`` and ``eps`` are a full ``solve``'s input, the
+    rest its output. Returns ``(step, level, frozen)``: link ``l`` would pop
+    before base pop ``step[l]`` (``len(pop_order)`` after the last) at
+    fair share ``level[l]`` if it carried one more unresolved flow (the
+    probe); ``frozen`` counts the traversal edges the tie rule skipped.
+
+    A probe on path P resolves at the link of P with the smallest
+    ``(step[l], level[l], l)``, at rate ``level[l]``, equal bit for bit to
+    the probe's rate in a solve of the probed network, because:
+
+    - until a link of P pops, the probed solve pops exactly the base links,
+      in the base order: the probe is unresolved, so no link's state moves
+      but through the base's resolutions, and a link of P never shares
+      more than its base state (one flow more on the same leftover);
+    - each link of P follows the base's resolutions of its flows and its
+      own share alone: start at ``c/(n+1)``; at each base traversal edge
+      ``(f, l)`` take ``rate[f]`` off and one flow off the count, exactly
+      as ``solve`` does, but only while the share is ``> rate[f] + eps``
+      (``solve``'s tie rule, which the lower share can meet where the base
+      did not; the share then stays);
+    - it pops before the first base pop whose ``(share, link)`` key is
+      ``>=`` its own, as ``solve``'s heap orders them.
+
+    Each link runs until it pops, so each base pop is checked against the
+    links still running, in a lazy heap as in ``solve``.
+    """
+    n_links = len(caps)
+    n_pops = len(pop_order)
+    avail = list(caps)
+    count = [len(fs) + 1 for fs in link_flows]
+    level = [c / n for c, n in zip(caps, count)]
+    step = [n_pops] * n_links  # below n_pops once the link has popped
+    heap = list(zip(level, range(n_links)))
+    heapify(heap)
+    # The pop at which each flow resolved: its first popped link.
+    resolved_at = [n_pops] * len(rate)
+    for j in range(n_pops - 1, -1, -1):
+        for f in link_flows[pop_order[j]]:
+            resolved_at[f] = j
+    frozen = 0
+    t = 0
+    n_trav = len(trav_edges)
+
+    for j, top in enumerate(pop_order):
+        # Every running link whose key is below base pop j's pops first.
+        s_top = share[top]
+        while heap:
+            s, l = heap[0]
+            if step[l] < n_pops:
+                heappop(heap)  # stale entry of a popped link
+            elif s != level[l]:
+                heapreplace(heap, (level[l], l))  # the share rose: requeue
+            elif s < s_top or (s == s_top and l <= top):
+                heappop(heap)
+                step[l] = j
+            else:
+                break
+        # Base pop j's traversal edges: the flows it resolved leave their
+        # other links. They come in the kernel's order, pop by pop.
+        while t < n_trav:
+            f, l = trav_edges[t]
+            if resolved_at[f] != j:
+                break
+            t += 1
+            if step[l] < n_pops:
+                continue
+            r = rate[f]
+            s = level[l]
+            if s > r + eps:
+                avail[l] -= r
+                n = count[l] - 1
+                count[l] = n
+                s2 = avail[l] / n
+                if s2 < s:
+                    heappush(heap, (s2, l))  # rounding lowered the share
+                level[l] = s2
+            else:
+                frozen += 1
+    return step, level, frozen

@@ -85,25 +85,31 @@ class Network:
     links: tuple[Link, ...]
     flows: tuple[Flow, ...]
     routers: tuple[RouterId, ...] = ()
-    _link_by_id: Mapping[LinkId, Link] = field(init=False, repr=False, compare=False)
-    _flow_by_id: Mapping[FlowId, Flow] = field(init=False, repr=False, compare=False)
     # The interned arrays, set only by ``parse_network``; see ``interned``.
     _arrays: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        links = tuple(sorted(self.links, key=lambda l: l.id))
-        flows = tuple(sorted(self.flows, key=lambda f: f.id))
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "flows", flows)
+        by_id = attrgetter("id")
+        object.__setattr__(self, "links", tuple(sorted(self.links, key=by_id)))
+        object.__setattr__(self, "flows", tuple(sorted(self.flows, key=by_id)))
         object.__setattr__(self, "routers", tuple(sorted(set(self.routers))))
-        object.__setattr__(self, "_link_by_id", {l.id: l for l in links})
-        object.__setattr__(self, "_flow_by_id", {f.id: f for f in flows})
+
+    # The id maps and ``_flows_on`` are built on first use: solves read
+    # none of them.
+
+    @cached_property
+    def _link_by_id(self) -> Mapping[LinkId, Link]:
+        return {l.id: l for l in self.links}
+
+    @cached_property
+    def _flow_by_id(self) -> Mapping[FlowId, Flow]:
+        return {f.id: f for f in self.flows}
 
     @cached_property
     def _flows_on(self) -> Mapping[LinkId, tuple[FlowId, ...]]:
-        """Flows per link, built on first use: solves never read it."""
+        """Flows per link."""
         flows_on: dict[LinkId, list[FlowId]] = {l.id: [] for l in self.links}
         for f in self.flows:
             for lid in f.path:

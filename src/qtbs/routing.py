@@ -2,20 +2,25 @@
 
 The search is Dijkstra-shaped, but the distance of a router is the inverse
 of the rate a hypothetical new flow would converge to if routed there: the
-time to push one bit from the source. Every frontier relaxation re-solves
-the network with the tentative flow (the probe) added. The network is
-interned once per call and each probe is spliced into those arrays, so a
-probe costs one kernel solve and builds no ``Network`` or structure. That
-solve is rates-only and stops as soon as the probe resolves.
+time to push one bit from the source. Every frontier relaxation asks for
+the rate of the tentative flow (the probe) on its path. The network is
+interned and solved once per call, and ``_kernel.probe_table`` turns that
+solve into one entry per link: the base pop before which the link would pop
+with the probe on it, and its fair share then. Until a link of the probe's
+path pops, the probed network's solve pops exactly the base links in the
+base order, so a probe's rate is the share of the path link with the
+smallest (step, share, link) entry, the same float a solve of the probed
+network gives. A probe costs a minimum over its path: no solve, no
+``Network`` and no structure.
 """
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import solver
+from ._kernel import probe_table
 from .errors import (
     MissingEndpointsError,
     NetworkFormatError,
@@ -23,7 +28,7 @@ from .errors import (
     UnreachableError,
 )
 from .model import EPS, Flow, LinkId, Network, PROBE_FLOW_ID, RouterId
-# Not called: probes are solved through ``solver.resolve``. Kept importable
+# Not called: the base solve goes through ``solver.resolve``. Kept importable
 # as ``qtbs.routing.gradient_graph``, the entry point that perfbench's
 # tracer wraps for its ``routing.probes_per_route`` layer.
 from .solver import gradient_graph  # noqa: F401
@@ -39,40 +44,34 @@ class RoutePath:
 
 
 def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]:
-    """Interns ``network`` once; returns the rate of a probe on a path.
+    """Solves ``network`` once; returns the rate of a probe on a path.
 
-    The probe takes the next free flow index, but is spliced into each of
-    its links' flow lists at its id rank, where ``network.with_flow`` would
-    sort it. The kernel reads those lists in order, so it does the same
-    arithmetic as on the probed network. It stops once the probe resolves
-    (``until``), which leaves the probe's rate exact. Paths must be valid.
-
-    ``interned`` returns fresh outer lists whose inner lists may be shared
-    with the network: the probe's path goes in as a new entry of
-    ``flow_links``, and each spliced link gets a new list in a copy of
-    ``link_flows``; no inner list is edited.
+    The one full solve and its ``probe_table`` give each link's
+    ``(step, share, link)`` entry. The probe resolves at the path link with
+    the smallest entry, at that link's share: until then the probed solve
+    pops the base links in the base order, and each path link's share moves
+    only with the base's resolutions of its own flows (see
+    ``_kernel.probe_table``). So the rate is, bit for bit, the probe's rate
+    in ``gradient_graph(network.with_flow(Flow(PROBE_FLOW_ID, path)))``.
+    Paths must be valid.
     """
     if network.has_link(PROBE_FLOW_ID) or network.has_flow(PROBE_FLOW_ID):
         # The probed network repeats the probe's id: raise what its intern
         # raises (a path cannot change that error).
         solver.interned(network.with_flow(Flow(PROBE_FLOW_ID, ())))
-    link_ids, flow_ids, caps, flow_links, link_flows = solver.interned(network)
-    index_of = {lid: i for i, lid in enumerate(link_ids)}
-    probe = len(flow_ids)
-    rank = bisect_left(flow_ids, PROBE_FLOW_ID)
-    flow_links.append([])
+    link_ids, _, caps, flow_links, link_flows = solver.interned(network)
+    rate, share, _, trav, pop_order, _, _ = solver.resolve(
+        caps, flow_links, link_flows, eps
+    )
+    step, level, _ = probe_table(
+        caps, link_flows, eps, rate, share, trav, pop_order
+    )
+    entry = dict(zip(link_ids, zip(step, level, range(len(link_ids)))))
 
-    def rate(path: Sequence[LinkId]) -> float:
-        links = sorted([index_of[lid] for lid in path])
-        flow_links[probe] = links
-        spliced = link_flows.copy()
-        for l in links:
-            flows = link_flows[l]
-            at = bisect_left(flows, rank)
-            spliced[l] = flows[:at] + [probe] + flows[at:]
-        return solver.resolve(caps, flow_links, spliced, eps, until=probe)[probe]
+    def rate_on(path: Sequence[LinkId]) -> float:
+        return min(map(entry.__getitem__, path))[1]
 
-    return rate
+    return rate_on
 
 
 def rate_if_routed(network: Network, path: Sequence[LinkId], eps: float = EPS) -> float:
@@ -80,7 +79,8 @@ def rate_if_routed(network: Network, path: Sequence[LinkId], eps: float = EPS) -
 
     Equal, bit for bit, to the probe's rate in
     ``gradient_graph(network.with_flow(Flow(PROBE_FLOW_ID, path)))``, but
-    solved on the interned arrays with the probe spliced in.
+    read from one solve of the network itself and its per-link probe table
+    (see ``_prober``).
     """
     if not path:
         raise NetworkFormatError("probe path must be non-empty")
@@ -119,8 +119,11 @@ def max_rate_path(
     Frontier order is (distance, router id); a neighbour is relaxed only
     when the new distance is smaller beyond ``eps``, which together with
     the rate-decay property of path extension makes the search exact.
-    The network is interned at the first relaxation and every candidate
-    path is one probe re-solve on those arrays (see ``rate_if_routed``).
+    The network is interned and solved once, at the first relaxation, and
+    every candidate path's rate is read from that solve's probe table:
+    the share of the path link that would pop first with the probe on it,
+    bit for bit the rate a solve of the probed network gives (see
+    ``_prober``).
     """
     adj = _router_adjacency(network)
     if source not in adj or dest not in adj:

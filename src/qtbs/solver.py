@@ -272,30 +272,26 @@ def _levels_topological(graph: GradientGraph) -> dict[str, int]:
     return dict(zip(graph.vertices(), level))
 
 
-def resolve(
-    caps, flow_links, link_flows, eps: float = EPS, *, rates_only=False, until=None
-):
+def resolve(caps, flow_links, link_flows, eps: float = EPS, *, rates_only=False):
     """One kernel solve of interned arrays, as ``interned`` returns them.
 
     ``gradient_graph`` is ``interned`` plus this call plus the structure.
-    Re-solve loops intern a network once and call this on edited arrays:
-    routing adds a probe flow, ``taper_fold`` replaces capacities. They
-    call ``solver.interned`` and ``solver.resolve``, the names
+    Some callers intern a network and call this on its arrays: routing
+    solves the network once and reads its probe table from the output, and
+    ``taper_fold`` re-solves with replaced capacities. They call
+    ``solver.interned`` and ``solver.resolve``, the names
     ``gradient_graph`` uses, so every solve goes through one set of names.
     The kernel only reads its arguments; a kernel failure raises
-    ``SolverError``. The keywords go to the kernel and pick what it returns:
+    ``SolverError``. ``rates_only`` goes to the kernel and picks what it
+    returns:
 
     - by default, the full output tuple
       ``(rate, share, bneck, trav, pop_order, pops, updates)``;
     - with ``rates_only=True``, the ``rate`` list alone, equal to the full
-      solve's;
-    - with ``until=f``, a list in which only ``rate[f]`` may be read: the
-      kernel stops once flow ``f`` resolves.
+      solve's.
     """
     try:
-        return _kernel.solve(
-            caps, flow_links, link_flows, eps, rates_only=rates_only, until=until
-        )
+        return _kernel.solve(caps, flow_links, link_flows, eps, rates_only=rates_only)
     except RuntimeError as exc:
         raise SolverError(str(exc)) from exc
 

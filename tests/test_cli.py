@@ -106,6 +106,33 @@ def test_route_b4(capsys):
     assert "1.429" in out
 
 
+# sha256 of the stdout of ``qtbs route`` on b4 over every ordered router
+# pair (in sorted order), concatenated, as written when each probe rate was
+# a kernel solve of the probed network.
+ROUTE_STDOUT = {
+    "table": "a82bf01694d8a3458edd8937bef414d01f38dc8d1083d8af16675db6bb62797f",
+    "json": "9154bcce47c3f0924469ffdb31719a6ad969ada4b2fcae02fbaf632d9b1ed054",
+}
+
+
+@pytest.mark.parametrize("fmt", list(ROUTE_STDOUT))
+def test_route_output_on_every_b4_pair(capsys, fmt):
+    routers = parse_network((FIXTURES / "b4.json").read_text()).routers
+    digest = hashlib.sha256()
+    pairs = 0
+    for src in routers:
+        for dst in routers:
+            if src == dst:
+                continue
+            code, out, err = run(capsys, "route", FIXTURES / "b4.json",
+                                 "--src", src, "--dst", dst, "--format", fmt)
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+            pairs += 1
+    assert pairs == 132
+    assert digest.hexdigest() == ROUTE_STDOUT[fmt]
+
+
 def test_route_unreachable_fails(capsys, tmp_path):
     doc = {
         "routers": ["u1", "u2", "u3", "u4"],

@@ -4,7 +4,8 @@
 pushes one heap entry for every fair-share update and skips entries whose
 key no longer matches. The lazy kernel must return exactly the same tuple:
 rates, shares, edges in emission order, pop order and both counters. The
-rates-only and early-exit modes must return the full solve's rates.
+rates-only mode must return the full solve's rates, and the probe table a
+probe's rate in a full solve of the probed network.
 """
 import heapq
 import math
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from qtbs import Flow, Link, Network, _kernel, random_network
+from qtbs import PROBE_FLOW_ID, Flow, Link, Network, _kernel, gradient_graph, random_network
 from qtbs.model import interned
 
 _INF = float("inf")
@@ -220,15 +221,29 @@ def test_rates_only_equals_full_solve_rates(eps):
         assert _kernel.solve(*args, eps, rates_only=True) == _kernel.solve(*args, eps)[0]
 
 
-@pytest.mark.parametrize("eps", EPSILONS)
-def test_early_exit_rate_equals_full_solve_rate(eps):
-    stopped_early = 0
+@pytest.mark.parametrize("eps", EPSILONS + (0.2,))
+def test_probe_table_gives_the_probed_networks_rate(eps):
+    # Six probe paths per network, of two to five links where it has them;
+    # each table rate must be the probe's rate in a solve of the probed
+    # network, bit for bit. The tie rule must skip some traversal edges,
+    # or the corpus would not test it.
+    rng = random.Random(1)
+    probes = frozen = 0
     for net in _rate_corpus():
-        args = interned(net)[2:]
-        rate = _kernel.solve(*args, eps)[0]
-        for f in range(len(rate)):
-            early = _kernel.solve(*args, eps, until=f)
-            assert early[f] == rate[f]
-            stopped_early += _INF in early
-    assert stopped_early > 1000  # some flows were left unresolved
-
+        link_ids, _, caps, flow_links, link_flows = interned(net)
+        rate, share, _, trav, pop_order, _, _ = _kernel.solve(
+            caps, flow_links, link_flows, eps
+        )
+        step, level, skipped = _kernel.probe_table(
+            caps, link_flows, eps, rate, share, trav, pop_order
+        )
+        frozen += skipped
+        n = len(link_ids)
+        for _ in range(6):
+            path = rng.sample(range(n), rng.randint(min(2, n), min(5, n)))
+            got = min((step[l], level[l], l) for l in path)[1]
+            probed = net.with_flow(Flow(PROBE_FLOW_ID, tuple(link_ids[l] for l in path)))
+            assert got == gradient_graph(probed, eps).rate[PROBE_FLOW_ID]
+            probes += len(path) > 1
+    assert probes > 2900  # multi-link paths
+    assert frozen > 300

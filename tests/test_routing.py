@@ -223,10 +223,10 @@ def test_max_rate_path_is_argmax_by_enumeration():
     assert checked >= 15
 
 
-# -- probe splice ---------------------------------------------------------
-# ``rate_if_routed`` solves the probe on the interned network with the probe
-# spliced into its links' flow lists; the reference builds the probed
-# network and solves it from scratch. The two must agree bit for bit.
+# -- probe rates from one base solve -----------------------------------------
+# ``rate_if_routed`` and ``max_rate_path`` read a probe's rate from one solve
+# of the network and its per-link probe table; the reference builds the
+# probed network and solves it from scratch. The two must agree bit for bit.
 
 def _reference_rate(net, path, eps=EPS):
     probed = net.with_flow(Flow(PROBE_FLOW_ID, tuple(path)))
@@ -271,51 +271,41 @@ def test_probe_splice_matches_probed_network_on_random_networks(caps):
             assert rate_if_routed(net, path, eps) == _reference_rate(net, path, eps)
 
 
-def test_probe_splice_gives_the_probed_networks_kernel_run(monkeypatch):
-    # The probe takes the last flow index but sits at its id rank in every
-    # flow list, so the kernel runs exactly as on the probed network: same
-    # pops, shares and counters, and the same edges once the probe's index
-    # is mapped to its rank there. The probe solve stops early, so the
-    # recorded arrays are re-solved in full; its probe rate must equal the
-    # full run's.
-    import qtbs.solver
+def test_route_makes_one_full_solve(b4, monkeypatch):
+    # However many paths a route relaxes, the kernel runs once, in full.
+    import qtbs.routing
     from qtbs import _kernel
-    from qtbs.model import interned
 
-    runs = []
-    resolve = qtbs.solver.resolve
+    solves = []
+    probes = []
+    solve = _kernel.solve
+    prober = qtbs.routing._prober
 
-    def recording_resolve(*args, **kwargs):
-        out = resolve(*args, **kwargs)
-        runs.append((resolve(*args), out, kwargs))
-        return out
+    def recording_solve(*args, **kwargs):
+        solves.append(kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(qtbs.solver, "resolve", recording_resolve)
-    rng = random.Random(3)
-    checked = 0
-    for _ in range(200):
-        net = _id_mixed_net(rng, (1.0, 2.0, 3.0))
-        ids = [l.id for l in net.links]
-        path = rng.sample(ids, rng.randint(1, min(4, len(ids))))
-        rate_if_routed(net, path)
-        got, early, kwargs = runs.pop()
-        probed = interned(net.with_flow(Flow(PROBE_FLOW_ID, tuple(path))))
-        want = _kernel.solve(*probed[2:], EPS)
-        rank = probed[1].index(PROBE_FLOW_ID)
-        probe = len(net.flows)
-        assert kwargs == {"until": probe}
-        assert early[probe] == want[0][rank]
+    def counting_prober(network, eps):
+        rate_on = prober(network, eps)
 
-        def at_rank(f):
-            return rank if f == probe else f + (f >= rank)
+        def counted(path):
+            probes.append(path)
+            return rate_on(path)
 
-        assert [got[0][f] for f in sorted(range(probe + 1), key=at_rank)] == want[0]
-        assert got[1] == want[1]
-        assert [(l, at_rank(f)) for l, f in got[2]] == want[2]
-        assert [(at_rank(f), l) for f, l in got[3]] == want[3]
-        assert got[4:] == want[4:]
-        checked += 0 < rank < probe
-    assert checked > 50  # the probe sorts between other flows
+        return counted
+
+    monkeypatch.setattr(_kernel, "solve", recording_solve)
+    monkeypatch.setattr(qtbs.routing, "_prober", counting_prober)
+    most = 0
+    for src in b4.routers:
+        for dst in b4.routers:
+            if src != dst:
+                max_rate_path(b4, src, dst)
+                assert solves == [{"rates_only": False}]
+                most = max(most, len(probes))
+                solves.clear()
+                probes.clear()
+    assert most >= 9
 
 
 @pytest.mark.parametrize("extra", [
