@@ -30,11 +30,12 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     link resolution order, pops the number of links popped and updates the
     number of fair-share updates (not heap pushes: see below).
 
+    The full solve pops links until the heap is empty; once every flow is
+    resolved, a pop only records a tied link's bottleneck edges.
+
     ``rates_only=True`` returns only the ``rate`` list, bit for bit the
     full solve's. It records no edges, pop order or counters, and stops
-    once every flow is resolved instead of draining the remaining links.
-    ``probe_table`` reads a full solve's output to answer, without another
-    solve, what rate one more flow would get on a path.
+    once every flow is resolved.
 
     A link that ends up bottlenecking no flow reports its saturation level:
     leftover capacity plus its fastest flow's rate (full capacity when no
@@ -74,26 +75,17 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     updates = 0
     unresolved = n_flows
 
-    def pop_link():
-        while heap:
-            key, l = heappop(heap)
-            if closed[l]:
-                continue  # stale entry
-            s_l = share[l]
-            if key != s_l:
-                # The share rose since the link was queued: requeue it.
-                heappush(heap, (s_l, l))
-                continue
-            closed[l] = True
-            pop_order.append(l)
-            return l
-        return -1
-
-    while unresolved > 0:
-        l = pop_link()
-        if l < 0:
-            raise RuntimeError("no live link left while flows remain unresolved")
+    while heap:
+        key, l = heappop(heap)
+        if closed[l]:
+            continue  # stale entry
         s_l = share[l]
+        if key != s_l:
+            # The share rose since the link was queued: requeue it.
+            heappush(heap, (s_l, l))
+            continue
+        closed[l] = True
+        pop_order.append(l)
         lo = s_l - eps
         hi = s_l + eps
         for f in link_flows[l]:
@@ -130,22 +122,13 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
                 # else: tie within eps; the flow is bottlenecked at l2 as
                 # well and picks up its edge when l2 is popped.
 
-    # Drain remaining live links so equal-share links still record their
-    # bottleneck edges (multi-bottleneck flows).
-    while True:
-        l = pop_link()
-        if l < 0:
-            break
-        lo = share[l] - eps
-        for f in link_flows[l]:
-            if rate[f] >= lo:
-                bneck_append((l, f))
-
+    if unresolved:
+        raise RuntimeError("no live link left while flows remain unresolved")
     return rate, share, bneck_edges, trav_edges, pop_order, len(pop_order), updates
 
 
 def _rates(caps, flow_links, link_flows, eps):
-    """``solve``'s loop without edges, pop order, counters or final drain.
+    """``solve``'s loop without edges, pop order or counters, until every flow resolves.
 
     The arithmetic and the heap order are ``solve``'s, so every rate it
     sets is the same float.
@@ -162,20 +145,14 @@ def _rates(caps, flow_links, link_flows, eps):
     heapify(heap)
     unresolved = n_flows
 
-    while unresolved > 0:
-        while True:
-            if not heap:
-                raise RuntimeError(
-                    "no live link left while flows remain unresolved"
-                )
-            key, l = heappop(heap)
-            if closed[l]:
-                continue  # stale entry
-            s_l = share[l]
-            if key != s_l:
-                heappush(heap, (s_l, l))  # the share rose: requeue
-                continue
-            break
+    while unresolved and heap:
+        key, l = heappop(heap)
+        if closed[l]:
+            continue  # stale entry
+        s_l = share[l]
+        if key != s_l:
+            heappush(heap, (s_l, l))  # the share rose: requeue
+            continue
         closed[l] = True
         hi = s_l + eps
         for f in link_flows[l]:
@@ -200,6 +177,8 @@ def _rates(caps, flow_links, link_flows, eps):
                         heappush(heap, (s2, l2))
                     share[l2] = s2
 
+    if unresolved:
+        raise RuntimeError("no live link left while flows remain unresolved")
     return rate
 
 

@@ -38,7 +38,7 @@ from .model import EPS, Network, parse_network
 # perfbench's tracer wraps for its ``model.validate_ms`` layer.
 from .model import validate  # noqa: F401
 from .planner import accelerate_flow, taper_fold
-from .routing import max_rate_path, min_hop_path, rate_if_routed
+from .routing import _prober, _search, min_hop_path
 from .solver import BottleneckSolution, gradient_graph
 
 SCHEMA_VERSION = 1
@@ -218,9 +218,11 @@ def cmd_grad(args) -> int:
 def cmd_route(args) -> int:
     net = _load(args.file)
     eps = _eps()
-    route = max_rate_path(net, args.src, args.dst, eps)
+    # One solve serves the search and the min-hop path's rate.
+    rate_on = _prober(net, eps)
+    route = _search(net, args.src, args.dst, eps, rate_on)
     hop_path = min_hop_path(net, args.src, args.dst)
-    hop_rate = rate_if_routed(net, hop_path, eps)
+    hop_rate = rate_on(hop_path)
     payload = {
         "src": args.src,
         "dst": args.dst,

@@ -93,12 +93,6 @@ def apply_plan(network: Network, plan: ShapingPlan) -> Network:
     return out
 
 
-def _true_gradients(solution: BottleneckSolution, flow_id: FlowId):
-    """One-sided derivatives w.r.t. the flow's rate, from a downward probe."""
-    res = forward_grad(solution, Perturbation(flow_id, -1))
-    return res.flow_derivative, res.link_derivative
-
-
 def _collision_rho(
     solution: BottleneckSolution,
     link_grads: Mapping[LinkId, float],
@@ -134,15 +128,17 @@ def accelerate_flow(
     """Greedy staged shaping plan that accelerates ``target``.
 
     Per stage: candidates are unshaped low-priority flows with headroom
-    above the floor. With a single target bottleneck, the candidate whose
-    rate cut helps the target most (most negative rate derivative) is
-    shaped; with several bottlenecks, one candidate per bottleneck link is
-    shaped by a common amount, since the target only gains when every
-    bottleneck's fair share rises together. The cut size is the smallest
+    above the floor. For each bottleneck link of the target, the candidate
+    whose rate cut raises that link's fair share fastest (most negative
+    derivative, then smallest id) is picked, and the picks are cut by a
+    common amount: a flow's drift is the minimum over its bottleneck links
+    (the gradient graph's flow rule), so the target gains only when every
+    bottleneck's share rises. With one bottleneck, this is the target's own
+    rate derivative, bit for bit. The cut size is the smallest
     structure-changing collision, clamped to keep every shaped flow at or
-    above the floor. Stops when no candidate helps or nothing is gained.
-    The plan's ``final_solution`` is the last solve, of the network with
-    every shaper in.
+    above the floor. Stops when a bottleneck has no helping candidate or
+    nothing is gained. The plan's ``final_solution`` is the last solve, of
+    the network with every shaper in.
     """
     if not network.has_flow(target):
         raise UnknownVertexError(target)
@@ -175,37 +171,23 @@ def accelerate_flow(
         if not candidates:
             break
 
-        grads = {f: _true_gradients(solution, f) for f in candidates}
-
-        if len(bottlenecks) == 1:
-            ranked = sorted(
-                (g_flow[target], f) for f, (g_flow, _) in grads.items()
-            )
-            best_grad, best_flow = ranked[0]
-            if best_grad >= -eps:
-                break
-            chosen = [best_flow]
-        else:
-            chosen_set: dict[FlowId, None] = {}
-            covered = True
-            for b in bottlenecks:
-                ranked = sorted(
-                    (g_link.get(b, 0.0), f) for f, (_, g_link) in grads.items()
-                )
-                g_b, f_b = ranked[0]
-                if g_b >= -eps:
-                    covered = False
-                    break
-                chosen_set[f_b] = None
-            if not covered:
-                break
-            chosen = sorted(chosen_set)
+        grads = {
+            f: forward_grad(solution, Perturbation(f, -1)).link_derivative
+            for f in candidates
+        }
+        # Per bottleneck, the candidate whose cut raises its share fastest.
+        picks = [
+            min((g_link.get(b, 0.0), f) for f, g_link in grads.items())
+            for b in bottlenecks
+        ]
+        if any(g_b >= -eps for g_b, _ in picks):
+            break
+        chosen = sorted({f for _, f in picks})
 
         joint_link_grad: dict[LinkId, float] = {}
         region_links: set[LinkId] = set()
         for f in chosen:
-            _, g_link = grads[f]
-            for l, g in g_link.items():
+            for l, g in grads[f].items():
                 joint_link_grad[l] = joint_link_grad.get(l, 0.0) + g
             region_links.update(
                 v for v in region_of_influence(solution, f) if solution.is_link(v)

@@ -46,29 +46,33 @@ class RoutePath:
 def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]:
     """Solves ``network`` once; returns the rate of a probe on a path.
 
-    The one full solve and its ``probe_table`` give each link's
-    ``(step, share, link)`` entry. The probe resolves at the path link with
-    the smallest entry, at that link's share: until then the probed solve
-    pops the base links in the base order, and each path link's share moves
-    only with the base's resolutions of its own flows (see
-    ``_kernel.probe_table``). So the rate is, bit for bit, the probe's rate
-    in ``gradient_graph(network.with_flow(Flow(PROBE_FLOW_ID, path)))``.
+    The solve runs at the first call, so an unused prober solves nothing.
+    It and its ``probe_table`` give each link's ``(step, share, link)``
+    entry. The probe resolves at the path link with the smallest entry, at
+    that link's share: until then the probed solve pops the base links in
+    the base order, and each path link's share moves only with the base's
+    resolutions of its own flows (see ``_kernel.probe_table``). So the rate
+    is, bit for bit, the probe's rate in
+    ``gradient_graph(network.with_flow(Flow(PROBE_FLOW_ID, path)))``.
     Paths must be valid.
     """
-    if network.has_link(PROBE_FLOW_ID) or network.has_flow(PROBE_FLOW_ID):
-        # The probed network repeats the probe's id: raise what its intern
-        # raises (a path cannot change that error).
-        solver.interned(network.with_flow(Flow(PROBE_FLOW_ID, ())))
-    link_ids, _, caps, flow_links, link_flows = solver.interned(network)
-    rate, share, _, trav, pop_order, _, _ = solver.resolve(
-        caps, flow_links, link_flows, eps
-    )
-    step, level, _ = probe_table(
-        caps, link_flows, eps, rate, share, trav, pop_order
-    )
-    entry = dict(zip(link_ids, zip(step, level, range(len(link_ids)))))
+    entry = None
 
     def rate_on(path: Sequence[LinkId]) -> float:
+        nonlocal entry
+        if entry is None:
+            if network.has_link(PROBE_FLOW_ID) or network.has_flow(PROBE_FLOW_ID):
+                # The probed network repeats the probe's id: raise what its
+                # intern raises (a path cannot change that error).
+                solver.interned(network.with_flow(Flow(PROBE_FLOW_ID, ())))
+            link_ids, _, caps, flow_links, link_flows = solver.interned(network)
+            rate, share, _, trav, pop_order, _, _ = solver.resolve(
+                caps, flow_links, link_flows, eps
+            )
+            step, level, _ = probe_table(
+                caps, link_flows, eps, rate, share, trav, pop_order
+            )
+            entry = dict(zip(link_ids, zip(step, level, range(len(link_ids)))))
         return min(map(entry.__getitem__, path))[1]
 
     return rate_on
@@ -92,7 +96,9 @@ def rate_if_routed(network: Network, path: Sequence[LinkId], eps: float = EPS) -
     return _prober(network, eps)(path)
 
 
-def _router_adjacency(network: Network) -> dict[RouterId, list[tuple[LinkId, RouterId]]]:
+def _router_adjacency(
+    network: Network, source: RouterId, dest: RouterId
+) -> dict[RouterId, list[tuple[LinkId, RouterId]]]:
     adj: dict[RouterId, list[tuple[LinkId, RouterId]]] = {}
     for r in network.routers:
         adj.setdefault(r, [])
@@ -105,6 +111,9 @@ def _router_adjacency(network: Network) -> dict[RouterId, list[tuple[LinkId, Rou
         adj.setdefault(l.dst, [])
     for r in adj:
         adj[r].sort()
+    for r in (source, dest):
+        if r not in adj:
+            raise RoutingError(f"unknown router {r!r}")
     return adj
 
 
@@ -125,10 +134,14 @@ def max_rate_path(
     bit for bit the rate a solve of the probed network gives (see
     ``_prober``).
     """
-    adj = _router_adjacency(network)
-    if source not in adj or dest not in adj:
-        missing = source if source not in adj else dest
-        raise RoutingError(f"unknown router {missing!r}")
+    return _search(network, source, dest, eps, _prober(network, eps))
+
+
+def _search(
+    network: Network, source: RouterId, dest: RouterId, eps: float, rate_on
+) -> RoutePath:
+    """``max_rate_path``, probing with ``rate_on``, a ``_prober(network, eps)``."""
+    adj = _router_adjacency(network, source, dest)
     if source == dest:
         raise RoutingError("source and destination must differ")
 
@@ -137,7 +150,6 @@ def max_rate_path(
     path_to: dict[RouterId, tuple[LinkId, ...]] = {source: ()}
     converged: set[RouterId] = set()
     frontier: list[tuple[float, RouterId]] = [(0.0, source)]
-    probe_rate = None
 
     while frontier:
         d_u, u = heapq.heappop(frontier)
@@ -150,9 +162,7 @@ def max_rate_path(
             if v in converged or link_id in path_to[u]:
                 continue
             candidate = path_to[u] + (link_id,)
-            if probe_rate is None:
-                probe_rate = _prober(network, eps)
-            rate = probe_rate(candidate)
+            rate = rate_on(candidate)
             d_v = 1.0 / rate
             if d_v < dist.get(v, float("inf")) - eps:
                 dist[v] = d_v
@@ -173,10 +183,7 @@ def min_hop_path(
     network: Network, source: RouterId, dest: RouterId
 ) -> tuple[LinkId, ...]:
     """Fewest-links path, ties broken by the link-id sequence."""
-    adj = _router_adjacency(network)
-    if source not in adj or dest not in adj:
-        missing = source if source not in adj else dest
-        raise RoutingError(f"unknown router {missing!r}")
+    adj = _router_adjacency(network, source, dest)
     best: dict[RouterId, tuple[int, tuple[LinkId, ...]]] = {source: (0, ())}
     frontier = [source]
     while frontier:

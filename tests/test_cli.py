@@ -133,6 +133,32 @@ def test_route_output_on_every_b4_pair(capsys, fmt):
     assert digest.hexdigest() == ROUTE_STDOUT[fmt]
 
 
+def test_route_makes_one_solve(capsys, monkeypatch):
+    # The search and the min-hop path's rate read one solve of the network;
+    # a routing error comes before it.
+    solves = []
+    solve = qtbs._kernel.solve
+
+    def recording_solve(*args, **kwargs):
+        solves.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qtbs._kernel, "solve", recording_solve)
+    routers = parse_network((FIXTURES / "b4.json").read_text()).routers
+    for src in routers:
+        for dst in routers:
+            if src != dst:
+                code, _, _ = run(capsys, "route", FIXTURES / "b4.json",
+                                 "--src", src, "--dst", dst)
+                assert code == 0
+                assert solves == [{"rates_only": False}], (src, dst)
+                solves.clear()
+    for src, dst in [("DC4", "DC99"), ("DC4", "DC4")]:
+        code, _, err = run(capsys, "route", FIXTURES / "b4.json", "--src", src, "--dst", dst)
+        assert code == 1 and "error" in err
+        assert solves == []
+
+
 def test_route_unreachable_fails(capsys, tmp_path):
     doc = {
         "routers": ["u1", "u2", "u3", "u4"],

@@ -5,7 +5,8 @@ pushes one heap entry for every fair-share update and skips entries whose
 key no longer matches. The lazy kernel must return exactly the same tuple:
 rates, shares, edges in emission order, pop order and both counters. The
 rates-only mode must return the full solve's rates, and the probe table a
-probe's rate in a full solve of the probed network.
+probe's rate in a full solve of the probed network. Both modes raise when a
+flow cannot resolve.
 """
 import heapq
 import math
@@ -13,8 +14,11 @@ import random
 
 import pytest
 
-from qtbs import PROBE_FLOW_ID, Flow, Link, Network, _kernel, gradient_graph, random_network
+from qtbs import (
+    PROBE_FLOW_ID, Flow, Link, Network, SolverError, _kernel, gradient_graph, random_network,
+)
 from qtbs.model import interned
+from qtbs.solver import resolve
 
 _INF = float("inf")
 
@@ -247,3 +251,17 @@ def test_probe_table_gives_the_probed_networks_rate(eps):
             probes += len(path) > 1
     assert probes > 2900  # multi-link paths
     assert frozen > 300
+
+
+# A flow on no link never resolves: the heap runs out with it unresolved,
+# after the other flows' links have popped (first arrays) or at once.
+NO_LINK_ARRAYS = [([2.0], [[0], []], [[0]]), ([], [[]], [])]
+
+
+@pytest.mark.parametrize("rates_only", [False, True])
+@pytest.mark.parametrize("arrays", NO_LINK_ARRAYS)
+def test_flow_on_no_link_raises(arrays, rates_only):
+    with pytest.raises(RuntimeError, match="^no live link left while flows remain unresolved$"):
+        _kernel.solve(*arrays, 1e-9, rates_only=rates_only)
+    with pytest.raises(SolverError, match="^no live link left while flows remain unresolved$"):
+        resolve(*arrays, 1e-9, rates_only=rates_only)

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -25,7 +26,8 @@ from qtbs import (
     taper_fold,
     waterfill,
 )
-from qtbs.planner import _rate_groups, _scaled
+from qtbs.planner import _collision_rho, _rate_groups, _scaled, _with_shaper
+from qtbs.solver import region_of_influence
 
 
 def test_stage_one_shapes_biggest_helper(shaping):
@@ -231,6 +233,142 @@ def test_plan_carries_the_solve_of_the_applied_plan(shaping):
         bare = dataclasses.replace(plan, final_solution=None)
         assert plan == bare and hash(plan) == hash(bare)
         assert repr(plan) == repr(bare) and "final_solution" not in repr(plan)
+
+
+# -- one shaping rule for any number of bottlenecks ------------------------
+# ``accelerate_flow`` picks, per bottleneck of the target, the candidate
+# whose cut raises that link's share fastest. The reference below is the
+# planner as it was with two rules: a target with one bottleneck took the
+# candidate with the most negative derivative of the target's own rate.
+# It also returns the target's bottleneck count at each shaping stage.
+
+def _reference_plan(network, target, low, floor_rate=None, eps=EPS):
+    low = tuple(sorted(set(low)))
+    current = network
+    solution = gradient_graph(current, eps)
+    if floor_rate is None:
+        floor_rate = min(solution.rate.values())
+    baseline = solution.rate[target]
+    actions, shaped, shaped_at = [], set(), []
+    for stage in range(1, len(low) + 1):
+        bottlenecks = solution.bottlenecks_of[target]
+        if not bottlenecks:
+            break
+        candidates = [f for f in low
+                      if f not in shaped and solution.rate[f] - floor_rate > eps]
+        if not candidates:
+            break
+        grads = {}
+        for f in candidates:
+            res = forward_grad(solution, Perturbation(f, -1))
+            grads[f] = (res.flow_derivative, res.link_derivative)
+        if len(bottlenecks) == 1:
+            best_grad, best_flow = sorted((g[target], f) for f, (g, _) in grads.items())[0]
+            if best_grad >= -eps:
+                break
+            chosen = [best_flow]
+        else:
+            chosen_set, covered = {}, True
+            for b in bottlenecks:
+                g_b, f_b = sorted((g.get(b, 0.0), f) for f, (_, g) in grads.items())[0]
+                if g_b >= -eps:
+                    covered = False
+                    break
+                chosen_set[f_b] = None
+            if not covered:
+                break
+            chosen = sorted(chosen_set)
+        joint, region = {}, set()
+        for f in chosen:
+            for l, g in grads[f][1].items():
+                joint[l] = joint.get(l, 0.0) + g
+            region.update(v for v in region_of_influence(solution, f) if solution.is_link(v))
+        if min(-joint.get(b, 0.0) for b in bottlenecks) <= eps:
+            break
+        rho_collision = _collision_rho(solution, joint, region, eps)
+        rho_floor = min(solution.rate[f] - floor_rate for f in chosen)
+        rho = rho_floor if rho_collision is None else min(rho_collision, rho_floor)
+        if rho <= eps:
+            break
+        before = solution.rate[target]
+        shaped_at.append(len(bottlenecks))
+        for f in chosen:
+            current = _with_shaper(current, f, solution.rate[f] - rho)
+            shaped.add(f)
+            after = gradient_graph(current, eps)
+            actions.append(ShapingAction(f, solution.rate[f] - rho, after.rate[target], stage))
+        solution = after
+        if solution.rate[target] - before <= eps:
+            break
+    plan = ShapingPlan(target, low, tuple(actions), floor_rate, baseline)
+    return plan, solution, shaped_at
+
+
+def _tied_network(seed, capacities=(2.0, 3.0, 6.0)):
+    """Few distinct capacities, so many flows have several bottlenecks."""
+    rng = random.Random(seed)
+    ids = [f"l{i}" for i in range(rng.randint(2, 8))]
+    flows = tuple(
+        Flow(f"f{i:02d}", tuple(rng.sample(ids, rng.randint(1, min(3, len(ids))))))
+        for i in range(rng.randint(2, 12))
+    )
+    return Network(tuple(Link(lid, rng.choice(capacities)) for lid in ids), flows)
+
+
+def _random_plan_networks():
+    """Small random networks, each with the floors to plan at: None, and
+    0.1 where shares tie, since the default floor, the slowest rate, leaves
+    tied flows no headroom to cut."""
+    nets = [(random_network(seed, max_links=8, max_flows=12, max_path_len=4), (None,))
+            for seed in range(30)]
+    return nets + [(_tied_network(seed), (None, 0.1)) for seed in range(40)]
+
+
+def _plan_corpus(shaping):
+    """(network, target, low priority, floor) of every shaping.json target
+    at floor None and 1.25, and of every flow of the random networks."""
+    nets = [(shaping, (None, 1.25))] + _random_plan_networks()
+    return [(net, f.id, [g.id for g in net.flows if g != f], floor)
+            for net, floors in nets for f in net.flows if len(net.flows) > 1
+            for floor in floors]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_one_rule_matches_the_two_rule_reference(shaping, eps):
+    stages = {1: 0, 2: 0}  # shaping stages by the target's bottleneck count
+    for net, target, low, floor in _plan_corpus(shaping):
+        plan = accelerate_flow(net, target, low, floor, eps)
+        want, want_solution, shaped_at = _reference_plan(net, target, low, floor, eps)
+        assert plan == want, (target, floor)
+        assert plan.final_solution.rate == want_solution.rate
+        for n in shaped_at:
+            stages[min(n, 2)] += 1
+    # Both of the reference's rules shaped flows.
+    assert stages[1] > 100 and stages[2] > 20, stages
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_single_bottleneck_rate_derivative_is_its_links(shaping, eps):
+    # By the flow rule a flow's drift is the minimum over its bottleneck
+    # links; with one bottleneck it is that link's drift, bit for bit (the
+    # sign of a zero included), for any perturbed flow.
+    pairs = 0
+    for net in [shaping] + [net for net, _ in _random_plan_networks()]:
+        # The base solve and the last solve of each flow's plan.
+        solutions = [gradient_graph(net, eps)]
+        for f in net.flows:
+            low = [g.id for g in net.flows if g != f]
+            if low:
+                solutions.append(accelerate_flow(net, f.id, low, None, eps).final_solution)
+        for solution in solutions:
+            for f in solution.rate:
+                res = forward_grad(solution, Perturbation(f, -1))
+                flow_d, link_d = res.flow_derivative, res.link_derivative
+                for t, bottlenecks in solution.bottlenecks_of.items():
+                    if t != f and len(bottlenecks) == 1:
+                        assert flow_d[t].hex() == link_d[bottlenecks[0]].hex(), (f, t)
+                        pairs += 1
+    assert pairs > 10_000
 
 
 def test_apply_plan_empty_is_identity(shaping):
