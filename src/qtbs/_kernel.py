@@ -12,7 +12,7 @@ IMPLEMENTATION = "python"
 _INF = float("inf")
 
 
-def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
+def solve(caps, flow_links, link_flows, eps):
     """Run the fair-share refinement loop on an interned network.
 
     caps:       list of link capacities
@@ -20,22 +20,15 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     link_flows: per link, sorted list of traversing flow indices
     eps:        absolute tolerance for rate/fair-share ties
 
-    ``rates_only`` picks the loop once, at entry.
-
-    The full solve (the default) returns
-    (rate, share, bneck_edges, trav_edges, pop_order, pops, updates):
+    Returns (rate, share, bneck_edges, trav_edges, pop_order, pops, updates):
     rate[f] is each flow's max-min rate, share[l] each link's fair share,
     bneck_edges the (link, flow) bottleneck relation, trav_edges the
     (flow, link) edges to traversed non-bottleneck links, pop_order the
     link resolution order, pops the number of links popped and updates the
     number of fair-share updates (not heap pushes: see below).
 
-    The full solve pops links until the heap is empty; once every flow is
+    The solve pops links until the heap is empty; once every flow is
     resolved, a pop only records a tied link's bottleneck edges.
-
-    ``rates_only=True`` returns only the ``rate`` list, bit for bit the
-    full solve's. It records no edges, pop order or counters, and stops
-    once every flow is resolved.
 
     A link that ends up bottlenecking no flow reports its saturation level:
     leftover capacity plus its fastest flow's rate (full capacity when no
@@ -50,8 +43,6 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     Every live link keeps an entry no larger than its share, so links pop
     in ascending (share, link) order, exactly as with one push per update.
     """
-    if rates_only:
-        return _rates(caps, flow_links, link_flows, eps)
     n_links = len(caps)
     n_flows = len(flow_links)
     avail = list(caps)
@@ -125,61 +116,6 @@ def solve(caps, flow_links, link_flows, eps, *, rates_only=False):
     if unresolved:
         raise RuntimeError("no live link left while flows remain unresolved")
     return rate, share, bneck_edges, trav_edges, pop_order, len(pop_order), updates
-
-
-def _rates(caps, flow_links, link_flows, eps):
-    """``solve``'s loop without edges, pop order or counters, until every flow resolves.
-
-    The arithmetic and the heap order are ``solve``'s, so every rate it
-    sets is the same float.
-    """
-    n_flows = len(flow_links)
-    avail = list(caps)
-    nrem = [len(fs) for fs in link_flows]
-    share = [c if n == 0 else c / n for c, n in zip(caps, nrem)]
-    closed = [n == 0 for n in nrem]
-    rate = [_INF] * n_flows
-    resolved = [False] * n_flows
-
-    heap = [(share[l], l) for l in range(len(caps)) if not closed[l]]
-    heapify(heap)
-    unresolved = n_flows
-
-    while unresolved and heap:
-        key, l = heappop(heap)
-        if closed[l]:
-            continue  # stale entry
-        s_l = share[l]
-        if key != s_l:
-            heappush(heap, (s_l, l))  # the share rose: requeue
-            continue
-        closed[l] = True
-        hi = s_l + eps
-        for f in link_flows[l]:
-            # An unresolved flow's rate is inf, so ``solve``'s rate test
-            # keeps exactly the unresolved flows.
-            if resolved[f]:
-                continue
-            rate[f] = s_l
-            resolved[f] = True
-            unresolved -= 1
-            for l2 in flow_links[f]:
-                if closed[l2] or share[l2] <= hi:
-                    continue
-                avail[l2] -= s_l
-                n = nrem[l2] - 1
-                nrem[l2] = n
-                if n <= 0:
-                    closed[l2] = True
-                else:
-                    s2 = avail[l2] / n
-                    if s2 < share[l2]:
-                        heappush(heap, (s2, l2))
-                    share[l2] = s2
-
-    if unresolved:
-        raise RuntimeError("no live link left while flows remain unresolved")
-    return rate
 
 
 def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):

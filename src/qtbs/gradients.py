@@ -1,7 +1,8 @@
 """Propagation of infinitesimal perturbations through a bottleneck structure.
 
-``forward_grad`` pushes a unit perturbation of one link capacity or flow
-rate through the structure's directed edges, combining two rules:
+``forward_grad`` pushes a unit perturbation of one link capacity, one flow
+rate, or the capacities of a set of links moved together through the
+structure's directed edges, combining two rules:
 
 * flow rule: a flow's drift is the minimum drift over its bottleneck links;
 * link rule: a link's drift is minus the accumulated drift of the flows
@@ -39,14 +40,20 @@ BOUND_SOURCE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A signed infinitesimal change of one link capacity or flow rate."""
+    """A signed infinitesimal change of one link capacity or flow rate.
 
-    target: str
+    A tuple of link ids as ``target`` changes all of their capacities
+    together, each by the same amount.
+    """
+
+    target: str | tuple[str, ...]
     direction: int = -1  # -1 tightens (shrink capacity / shape rate down)
 
     def __post_init__(self):
         if self.direction not in (-1, 1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
+        if not isinstance(self.target, str) and not self.target:
+            raise ValueError("a joint perturbation needs at least one link")
 
 
 @dataclass(frozen=True)
@@ -87,19 +94,27 @@ class GradientResult:
 
 
 def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResult:
-    """Compute all gradients with respect to one perturbed link or flow.
+    """Compute all gradients with respect to one perturbed link or flow, or
+    to a set of links perturbed together.
 
     Each vertex is visited at most once, in ascending (value, drift, id)
     heap order, mirroring the order in which the solve resolves the
-    structure. Vertices outside the target's region of influence keep a
-    gradient of exactly zero.
+    structure. Every target link starts with the perturbation as its
+    inflow, so flows that reach it before it is visited add theirs to it.
+    Vertices outside the targets' region of influence keep a gradient of
+    exactly zero.
     """
     graph = solution.graph
     ix = graph.index
-    t = ix.index_of.get(p.target)
-    if t is None:
-        raise UnknownVertexError(p.target)
     ids, succ, rank, n_links = ix.ids, ix.succ, ix.rank, ix.n_links
+    joint = not isinstance(p.target, str)
+    targets = []
+    for v in p.target if joint else (p.target,):
+        t = ix.index_of.get(v)
+        # A joint target holds links only.
+        if t is None or (joint and t >= n_links):
+            raise UnknownVertexError(v)
+        targets.append(t)
     bottleneck_links = ix.bottleneck_links
     fair_share, rate = solution.fair_share, solution.rate
     sign = float(p.direction)
@@ -118,18 +133,23 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
     pushed = [float("inf")] * n
     visit_order: list[int] = []
 
-    if t < n_links:
-        count = ix.n_bottlenecked[t]
-        # The capacity change splits evenly over the bottlenecked flows; a
-        # link that bottlenecks no flow absorbs the perturbation silently.
-        drift[t] = sign / count if count else 0.0
-        split_count[t] = count
-        value = fair_share[p.target]
-    else:
-        drift[t] = sign
-        value = rate[p.target]
-    pushed[t] = drift[t]
-    heap = [(value, drift[t], rank[t], t)]
+    heap = []
+    for t in targets:
+        if t < n_links:
+            count = ix.n_bottlenecked[t]
+            # The capacity change splits evenly over the bottlenecked flows;
+            # a link that bottlenecks no flow absorbs the perturbation
+            # silently.
+            inflow[t] = sign
+            drift[t] = sign / count if count else 0.0
+            split_count[t] = count
+            value = fair_share[ids[t]]
+        else:
+            drift[t] = sign
+            value = rate[ids[t]]
+        pushed[t] = drift[t]
+        heap.append((value, drift[t], rank[t], t))
+    heapq.heapify(heap)
 
     while heap:
         y = heapq.heappop(heap)[3]

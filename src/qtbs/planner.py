@@ -4,10 +4,10 @@
 target flow by throttling low-priority flows, sizing each rate cut at the
 first point where the bottleneck structure would change shape.
 ``taper_fold`` finds the capacity scale at which the levels of a fat-tree
-style structure collapse into one. Both verify their predictions by
-re-solving the modified network. ``taper_fold`` interns its base network
-once and re-solves each scale by replacing the scaled links' capacities in
-the interned arrays.
+style structure collapse into one, from one perturbation of all scaled
+links together. Both verify their predictions by re-solving the modified
+network. ``taper_fold`` interns its base network once and re-solves each
+scale by replacing the scaled links' capacities in the interned arrays.
 """
 from __future__ import annotations
 
@@ -275,18 +275,20 @@ def taper_fold(
     """Find the scale factor at which the flow levels of the structure fold.
 
     ``scale_links`` hold capacity ``leaf_capacity * tau``; the remaining
-    links are fixed. Per-level rate derivatives w.r.t. the scaled capacity
-    give each level's line rate(tau); the first intersection of adjacent
-    level lines is the fold. Falls back to bisection on the max-min rate
-    gap when a level's flows do not share one derivative; it stops once
-    the midpoint is an end of the bracket whose gap is already known.
+    links are fixed. One ``forward_grad`` of all scaled links moved together
+    gives each level's rate derivative w.r.t. their common capacity, and so
+    each level's line rate(tau); the first intersection of adjacent level
+    lines is the fold. Falls back to bisection on the max-min rate gap when
+    a level's flows do not share one derivative; it stops once the midpoint
+    is an end of the bracket whose gap is already known.
 
     The structure is solved once, at ``tau0``. Every other scaled capacity
-    is one rates-only kernel re-solve of that network, interned once, with
-    the scaled links' capacities replaced; each distinct capacity is solved
-    once per call. ``caps`` is this call's own list, so its entries are
-    assigned in place; the inner lists of ``flow_links`` and ``link_flows``
-    may be shared with the network and are only read.
+    is one kernel re-solve of that network, interned once, with the scaled
+    links' capacities replaced, of which only the rates are read; each
+    distinct capacity is solved once per call. ``caps`` is this call's own
+    list, so its entries are assigned in place; the inner lists of
+    ``flow_links`` and ``link_flows`` may be shared with the network and
+    are only read.
     """
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:
@@ -323,9 +325,7 @@ def taper_fold(
             check_capacity(scale_links[0], cap)
             for i in scaled:
                 caps[i] = cap
-            rate = solved[cap] = solver.resolve(
-                caps, flow_links, link_flows, eps, rates_only=True
-            )
+            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows, eps)[0]
         return rate
 
     # Band membership is frozen at tau0; two adjacent bands fold when the
@@ -343,26 +343,20 @@ def taper_fold(
         return band_gap(rates_at(tau))
 
     # Per-level derivative of rate w.r.t. the scaled links' common capacity,
-    # from a downward probe of one scaled link (they must all agree).
+    # from one downward perturbation of all scaled links together.
     tol = 1e-6
     method = "gradient"
     level_grad: dict[float, float] = {}
     level_rates: dict[float, tuple[FlowId, ...]] = {}
     uniform = True
-    per_link = [
-        forward_grad(base, Perturbation(lid, -1)).flow_derivative
-        for lid in scale_links
-    ]
+    deriv = forward_grad(base, Perturbation(scale_links, -1)).flow_derivative
     for lo, hi, flows in groups:
-        if hi - lo > tol or lo in level_rates:
-            uniform = False
-            break
-        grads = {deriv[f] for deriv in per_link for f in flows}
-        if max(grads) - min(grads) > tol:
+        grads = [deriv[f] for f in flows]
+        if hi - lo > tol or lo in level_rates or max(grads) - min(grads) > tol:
             uniform = False
             break
         level_rates[lo] = flows
-        level_grad[lo] = next(iter(per_link))[flows[0]]
+        level_grad[lo] = grads[0]
 
     tau_star: Optional[float] = None
     if uniform:

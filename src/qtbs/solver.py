@@ -272,26 +272,21 @@ def _levels_topological(graph: GradientGraph) -> dict[str, int]:
     return dict(zip(graph.vertices(), level))
 
 
-def resolve(caps, flow_links, link_flows, eps: float = EPS, *, rates_only=False):
+def resolve(caps, flow_links, link_flows, eps: float = EPS):
     """One kernel solve of interned arrays, as ``interned`` returns them.
 
     ``gradient_graph`` is ``interned`` plus this call plus the structure.
     Some callers intern a network and call this on its arrays: routing
     solves the network once and reads its probe table from the output, and
-    ``taper_fold`` re-solves with replaced capacities. They call
-    ``solver.interned`` and ``solver.resolve``, the names
+    ``taper_fold`` re-solves with replaced capacities and reads the rates.
+    They call ``solver.interned`` and ``solver.resolve``, the names
     ``gradient_graph`` uses, so every solve goes through one set of names.
     The kernel only reads its arguments; a kernel failure raises
-    ``SolverError``. ``rates_only`` goes to the kernel and picks what it
-    returns:
-
-    - by default, the full output tuple
-      ``(rate, share, bneck, trav, pop_order, pops, updates)``;
-    - with ``rates_only=True``, the ``rate`` list alone, equal to the full
-      solve's.
+    ``SolverError``. Returns the kernel's output tuple
+    ``(rate, share, bneck, trav, pop_order, pops, updates)``.
     """
     try:
-        return _kernel.solve(caps, flow_links, link_flows, eps, rates_only=rates_only)
+        return _kernel.solve(caps, flow_links, link_flows, eps)
     except RuntimeError as exc:
         raise SolverError(str(exc)) from exc
 

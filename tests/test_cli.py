@@ -151,7 +151,7 @@ def test_route_makes_one_solve(capsys, monkeypatch):
                 code, _, _ = run(capsys, "route", FIXTURES / "b4.json",
                                  "--src", src, "--dst", dst)
                 assert code == 0
-                assert solves == [{"rates_only": False}], (src, dst)
+                assert solves == [{}], (src, dst)
                 solves.clear()
     for src, dst in [("DC4", "DC99"), ("DC4", "DC4")]:
         code, _, err = run(capsys, "route", FIXTURES / "b4.json", "--src", src, "--dst", dst)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, leaf_spine, load
 from qtbs import (
     Flow,
     Link,
@@ -17,6 +17,7 @@ from qtbs import (
     random_network,
     region_of_influence,
     suggest_delta,
+    waterfill,
 )
 from qtbs.gradients import BOUND_SOURCE_BLOCK
 
@@ -24,6 +25,65 @@ from qtbs.gradients import BOUND_SOURCE_BLOCK
 def test_perturbation_direction_validated():
     with pytest.raises(ValueError):
         Perturbation("l1", 0)
+
+
+def test_joint_perturbation_needs_a_link():
+    with pytest.raises(ValueError):
+        Perturbation((), -1)
+
+
+def test_joint_target_must_be_links_of_the_solution(fat_tree):
+    sol = gradient_graph(fat_tree)
+    for target in [("l5", "zz"), ("l5", "f1")]:
+        with pytest.raises(UnknownVertexError):
+            forward_grad(sol, Perturbation(target, -1))
+
+
+def _result_fields(res):
+    return [repr(getattr(res, name)) for name in (
+        "link_gradient", "flow_gradient", "visit_order",
+        "link_inflow_from", "link_split_count",
+    )]
+
+
+def test_one_link_joint_target_equals_the_link_target():
+    nets = [load(p.name) for p in sorted(FIXTURES.glob("*.json"))]
+    nets.append(random_network(7, max_links=12, max_flows=24, max_path_len=5))
+    for net in nets:
+        sol = gradient_graph(net)
+        for link in net.links:
+            for d in (-1, 1):
+                one = forward_grad(sol, Perturbation(link.id, d))
+                joint = forward_grad(sol, Perturbation((link.id,), d))
+                assert _result_fields(joint) == _result_fields(one), (link.id, d)
+
+
+def _joint_difference(network, links, delta):
+    """Per flow, its rate's movement when every link in ``links`` loses
+    ``delta`` of capacity, per unit of ``delta``."""
+    shrunk = network
+    for lid in links:
+        shrunk = shrunk.with_capacity(lid, network.link(lid).capacity - delta)
+    base, moved = waterfill(network).rate, waterfill(shrunk).rate
+    return {f: (moved[f] - base[f]) / delta for f in base}
+
+
+def _spine_trees():
+    yield load("fat_tree.json"), ("l5", "l6")
+    for pods in (2, 3, 4):
+        for hosts in (2, 3, 4):
+            net, spines = leaf_spine(pods, hosts, 23.17)
+            yield net, tuple(spines)
+
+
+def test_joint_spine_gradient_matches_a_joint_difference():
+    for net, spines in _spine_trees():
+        res = forward_grad(gradient_graph(net), Perturbation(spines, -1))
+        # 1/100 of the smallest gap between distinct values: inside one
+        # linear piece, with rounding far below the tolerance.
+        fd = _joint_difference(net, spines, suggest_delta(net) * 1e4)
+        for f, g in res.flow_gradient.items():
+            assert abs(g - fd[f]) <= 1e-8, (spines, f)
 
 
 def test_chain_link_gradient(chain):

@@ -1,12 +1,11 @@
-"""The lazy-heap kernel against an eager-heap reference, and its modes.
+"""The lazy-heap kernel against an eager-heap reference, and its probe table.
 
 ``_eager_solve`` is the kernel as it was before the heap became lazy: it
 pushes one heap entry for every fair-share update and skips entries whose
 key no longer matches. The lazy kernel must return exactly the same tuple:
 rates, shares, edges in emission order, pop order and both counters. The
-rates-only mode must return the full solve's rates, and the probe table a
-probe's rate in a full solve of the probed network. Both modes raise when a
-flow cannot resolve.
+probe table must give a probe's rate in a solve of the probed network. The
+kernel raises when a flow cannot resolve.
 """
 import heapq
 import math
@@ -218,13 +217,6 @@ def _rate_corpus():
     return nets
 
 
-@pytest.mark.parametrize("eps", EPSILONS)
-def test_rates_only_equals_full_solve_rates(eps):
-    for net in _rate_corpus():
-        args = interned(net)[2:]
-        assert _kernel.solve(*args, eps, rates_only=True) == _kernel.solve(*args, eps)[0]
-
-
 @pytest.mark.parametrize("eps", EPSILONS + (0.2,))
 def test_probe_table_gives_the_probed_networks_rate(eps):
     # Six probe paths per network, of two to five links where it has them;
@@ -258,10 +250,9 @@ def test_probe_table_gives_the_probed_networks_rate(eps):
 NO_LINK_ARRAYS = [([2.0], [[0], []], [[0]]), ([], [[]], [])]
 
 
-@pytest.mark.parametrize("rates_only", [False, True])
 @pytest.mark.parametrize("arrays", NO_LINK_ARRAYS)
-def test_flow_on_no_link_raises(arrays, rates_only):
+def test_flow_on_no_link_raises(arrays):
     with pytest.raises(RuntimeError, match="^no live link left while flows remain unresolved$"):
-        _kernel.solve(*arrays, 1e-9, rates_only=rates_only)
+        _kernel.solve(*arrays, 1e-9)
     with pytest.raises(SolverError, match="^no live link left while flows remain unresolved$"):
-        resolve(*arrays, 1e-9, rates_only=rates_only)
+        resolve(*arrays, 1e-9)

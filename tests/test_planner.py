@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import leaf_spine
 from qtbs import (
     EPS,
     AlreadyFoldedError,
@@ -434,17 +435,20 @@ def test_taper_already_folded(fat_tree):
         taper_fold(folded, ["l5", "l6"], 20.0, 2.0)
 
 
-def test_taper_bisection_fallback():
-    # one scaled spine next to a fixed one: the shared level has mixed
-    # gradients, so the gradient method refuses and bisection takes over
-    links = (Link("s1", 10.0), Link("s2", 10.0), Link("b", 24.0))
+def _mixed_level_network(leaf=10.0):
+    # One scaled spine next to a fixed one: the shared level has mixed
+    # gradients, so the gradient method refuses and bisection takes over.
+    links = (Link("s1", leaf), Link("s2", 10.0), Link("b", 24.0))
     flows = (
         Flow("g1", ("s1",)), Flow("h1", ("s1", "b")),
         Flow("g2", ("s2",)), Flow("h2", ("s2", "b")),
         Flow("h3", ("b",)),
     )
-    net = Network(links, flows)
-    report = taper_fold(net, ["s1"], 10.0, 1.0)
+    return Network(links, flows)
+
+
+def test_taper_bisection_fallback():
+    report = taper_fold(_mixed_level_network(), ["s1"], 10.0, 1.0)
     assert report.method == "bisection"
     assert report.tau_star == pytest.approx(1.9, abs=1e-3)
     assert report.rates_at["h3"] == pytest.approx(report.rates_at["h1"], abs=1e-3)
@@ -473,16 +477,15 @@ def _reference_taper(network, scale_links, leaf, tau0=1.0, eps=EPS):
                    for lo, hi in zip(bands, bands[1:]))
 
     tol = 1e-6
-    per_link = [forward_grad(base, Perturbation(lid, -1)).flow_derivative
-                for lid in scale_links]
+    deriv = forward_grad(base, Perturbation(scale_links, -1)).flow_derivative
     level_grad, level_rates, uniform = {}, {}, True
     for lo, hi, flows in groups:
-        grads = {deriv[f] for deriv in per_link for f in flows}
+        grads = {deriv[f] for f in flows}
         if hi - lo > tol or lo in level_rates or max(grads) - min(grads) > tol:
             uniform = False
             break
         level_rates[lo] = flows
-        level_grad[lo] = per_link[0][flows[0]]
+        level_grad[lo] = deriv[flows[0]]
     tau_star, method = None, "gradient"
     if uniform:
         ordered = sorted(level_rates)
@@ -525,24 +528,6 @@ def _reference_taper(network, scale_links, leaf, tau0=1.0, eps=EPS):
     )
 
 
-def _leaf_spine(pods, hosts, leaf):
-    """Hosts with one access link each, one spine link per pod, and a flow
-    between every ordered pair of hosts (fat_tree.json is the 2 x 2 case)."""
-    links = [Link(f"s{p}", leaf) for p in range(pods)]
-    links += [Link(f"h{p}_{i}", leaf) for p in range(pods) for i in range(hosts)]
-    ends = [(p, i) for p in range(pods) for i in range(hosts)]
-    flows = []
-    for a in ends:
-        for b in ends:
-            if a == b:
-                continue
-            path = [f"h{a[0]}_{a[1]}", f"h{b[0]}_{b[1]}"]
-            if a[0] != b[0]:
-                path[1:1] = [f"s{a[0]}", f"s{b[0]}"]
-            flows.append(Flow(f"f{a[0]}.{a[1]}-{b[0]}.{b[1]}", tuple(path)))
-    return Network(tuple(links), tuple(flows)), [f"s{p}" for p in range(pods)]
-
-
 def _assert_same_report(got, want):
     for field in dataclasses.fields(TaperReport):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
@@ -557,14 +542,27 @@ def test_taper_matches_full_resolve_reference_on_fat_tree(fat_tree):
 @pytest.mark.parametrize("pods", [2, 3, 4])
 @pytest.mark.parametrize("hosts", [2, 3, 4])
 def test_taper_matches_full_resolve_reference_on_leaf_spine(pods, hosts):
-    net, spines = _leaf_spine(pods, hosts, 23.17)
+    net, spines = leaf_spine(pods, hosts, 23.17)
     report = taper_fold(net, spines, 23.17)
-    # Several scaled spines give a shared level mixed gradients.
-    assert report.method == ("gradient" if pods == 2 else "bisection")
+    # All spines scale together, so each level moves as one: the levels
+    # fold where a pod's own flows meet the cross-pod flows.
+    assert report.method == "gradient"
+    n = pods * hosts
+    assert abs(report.tau_star - hosts * (n - hosts) / (n - 1)) <= 1e-12
     _assert_same_report(report, _reference_taper(net, spines, 23.17))
 
 
-def test_taper_bisection_stops_once_floats_converge(monkeypatch):
+def test_taper_matches_full_resolve_reference_on_mixed_levels():
+    # The one bisection case: the early stop must land where the reference's
+    # 100 steps do.
+    for tau0 in (1.0, 0.5):
+        args = (_mixed_level_network(), ["s1"], 10.0, tau0)
+        report = taper_fold(*args)
+        assert report.method == "bisection"
+        _assert_same_report(report, _reference_taper(*args))
+
+
+def _counting_kernel(monkeypatch):
     import qtbs._kernel
 
     solve = qtbs._kernel.solve
@@ -574,23 +572,39 @@ def test_taper_bisection_stops_once_floats_converge(monkeypatch):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    net, spines = _leaf_spine(3, 2, 23.17)
     monkeypatch.setattr(qtbs._kernel, "solve", counting_solve)
-    report = taper_fold(net, spines, 23.17)
+    return calls
+
+
+@pytest.mark.parametrize("pods", [2, 3, 4])
+@pytest.mark.parametrize("hosts", [2, 3, 4])
+def test_leaf_spine_taper_runs_the_kernel_eleven_times(pods, hosts, monkeypatch):
+    net, spines = leaf_spine(pods, hosts, 23.17)
+    calls = _counting_kernel(monkeypatch)
+    taper_fold(net, spines, 23.17)
+    # base, the fold, below, above and 7 more samples
+    assert len(calls) == 11
+
+
+def test_taper_bisection_stops_once_floats_converge(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    report = taper_fold(_mixed_level_network(), ["s1"], 10.0)
     assert report.method == "bisection"
-    # base, one doubling, ~53 bisection steps, the fold, 2 + 9 samples
-    # (115 when the bisection ran all 100 steps)
+    # base, one doubling, ~52 bisection steps, below, above and 7 more
+    # samples (over 100 when the bisection ran all 100 steps)
     assert len(calls) <= 70
 
 
-@pytest.mark.parametrize("tree", ["fat_tree", "leaf_spine_3x2"])
+@pytest.mark.parametrize("tree", ["fat_tree", "leaf_spine_3x2", "mixed_levels"])
 def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
     import qtbs.solver
 
     if tree == "fat_tree":
         args = (fat_tree, ["l5", "l6"], 20.0)
+    elif tree == "mixed_levels":
+        args = (_mixed_level_network(), ["s1"], 10.0)
     else:
-        net, spines = _leaf_spine(3, 2, 23.17)
+        net, spines = leaf_spine(3, 2, 23.17)
         args = (net, spines, 23.17)
     resolve = qtbs.solver.resolve
     vectors = []
@@ -608,9 +622,13 @@ def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
 
 
 def test_taper_scaled_capacity_must_be_finite():
-    # The first doubling of the scaled capacity overflows to inf; the
-    # re-solve rejects it as interning the scaled network would.
-    net, spines = _leaf_spine(3, 2, 1.5e308)
-    with pytest.raises(CapacityError,
-                       match=r"link 's0': capacity must be finite and strictly positive, got inf"):
-        taper_fold(net, spines, 1.5e308)
+    # A scaled capacity that overflows to inf is rejected by the re-solve,
+    # as interning the scaled network would. On the 3 x 2 tree the gradient
+    # fold's verification solve overflows; on the mixed-level network,
+    # bisection's first doubling does.
+    net, spines = leaf_spine(3, 2, 1.5e308)
+    cases = [(net, spines, 1.5e308, "s0"), (_mixed_level_network(1e308), ["s1"], 1e308, "s1")]
+    for net, scaled, leaf, first in cases:
+        with pytest.raises(CapacityError, match=rf"link '{first}': capacity must be "
+                           r"finite and strictly positive, got inf"):
+            taper_fold(net, scaled, leaf)

@@ -301,7 +301,7 @@ def test_route_makes_one_full_solve(b4, monkeypatch):
         for dst in b4.routers:
             if src != dst:
                 max_rate_path(b4, src, dst)
-                assert solves == [{"rates_only": False}]
+                assert solves == [{}]
                 most = max(most, len(probes))
                 solves.clear()
                 probes.clear()
