@@ -5,6 +5,7 @@ rate, or the capacities of a set of links moved together through the
 structure's directed edges, combining two rules:
 
 * flow rule: a flow's drift is the minimum drift over its bottleneck links;
+  a flow with one bottleneck link takes that link's drift as it is;
 * link rule: a link's drift is minus the accumulated drift of the flows
   feeding it, split evenly over its not-yet-visited bottlenecked flows.
 
@@ -19,10 +20,10 @@ Both calls run on the structure's cached integer index
 ``V`` vertices, ``E`` edges and diameter ``D``, ``forward_grad`` costs
 O((V + E) log V) per target: each vertex is visited once, each edge is
 relaxed at most once and pushes at most one heap entry (the flow rule also
-takes a minimum over the flow's bottleneck links, which are few per flow in
-practice). ``gradient_bound`` costs O(D * E * V / 64) machine-word
-operations: ``V / 64`` words of source bitsets carried along each edge in
-each of at most ``D`` rounds.
+takes a minimum over the flow's bottleneck links when it has several).
+``gradient_bound`` costs O(D * E * V / 64) machine-word operations:
+``V / 64`` words of source bitsets carried along each edge in each of at
+most ``D`` rounds.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class Perturbation:
     """A signed infinitesimal change of one link capacity or flow rate.
 
     A tuple of link ids as ``target`` changes all of their capacities
-    together, each by the same amount.
+    together, each by the same amount. Any other target type is refused.
     """
 
     target: str | tuple[str, ...]
@@ -52,22 +53,22 @@ class Perturbation:
     def __post_init__(self):
         if self.direction not in (-1, 1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
-        if not isinstance(self.target, str) and not self.target:
-            raise ValueError("a joint perturbation needs at least one link")
+        if isinstance(self.target, tuple):
+            if not self.target:
+                raise ValueError("a joint perturbation needs at least one link")
+        elif not isinstance(self.target, str):
+            raise ValueError(f"target must be an id or a tuple of ids, got {self.target!r}")
 
 
 @dataclass(frozen=True)
 class GradientResult:
-    """All link and flow gradients for one perturbation."""
+    """Every link's and flow's gradient for one perturbation, keyed by id,
+    and the vertices in the order the propagation visited them."""
 
     perturbation: Perturbation
     link_gradient: Mapping[str, float]
     flow_gradient: Mapping[str, float]
     visit_order: tuple[str, ...]
-    # Bookkeeping for the link-rule checksum: which flows fed each link and
-    # how many unvisited successors the accumulated inflow was split over.
-    link_inflow_from: Mapping[str, tuple[str, ...]]
-    link_split_count: Mapping[str, int]
 
     @property
     def link_derivative(self) -> dict[str, float]:
@@ -122,8 +123,6 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
     n = len(ids)
     drift = [0.0] * n
     inflow = [0.0] * n_links
-    inflow_from: list[list[str]] = [[] for _ in range(n_links)]
-    split_count: dict[int, int] = {}
     # Bottlenecked flows of each link not visited yet (the link-rule split).
     unvisited = list(ix.n_bottlenecked)
     visited = [False] * n
@@ -142,7 +141,6 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
             # silently.
             inflow[t] = sign
             drift[t] = sign / count if count else 0.0
-            split_count[t] = count
             value = fair_share[ids[t]]
         else:
             drift[t] = sign
@@ -168,22 +166,21 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
             for f in succ[y]:
                 if visited[f]:
                     continue
-                # Flow rule: minimum drift over the flow's bottleneck links.
-                d = min([drift[l] for l in bottleneck_links[f]])
+                # Flow rule: minimum drift over the flow's bottleneck links,
+                # ``y`` among them.
+                bl = bottleneck_links[f]
+                d = d_y if len(bl) == 1 else min([drift[l] for l in bl])
                 drift[f] = d
                 if d < pushed[f]:
                     pushed[f] = d
                     heapq.heappush(heap, (rate[ids[f]], d, rank[f], f))
         else:
-            y_id = ids[y]
             for l in succ[y]:
                 if visited[l]:
                     continue
                 # Link rule: accumulate inflow, split over what remains.
                 inflow[l] -= d_y
-                inflow_from[l].append(y_id)
                 remaining = unvisited[l]
-                split_count[l] = remaining
                 d = inflow[l] / remaining if remaining else 0.0
                 drift[l] = d
                 if d < pushed[l]:
@@ -195,8 +192,6 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
         link_gradient=dict(zip(graph.link_ids, drift)),
         flow_gradient=dict(zip(graph.flow_ids, drift[n_links:])),
         visit_order=tuple(map(ids.__getitem__, visit_order)),
-        link_inflow_from={ids[l]: tuple(v) for l, v in enumerate(inflow_from) if v},
-        link_split_count={ids[l]: c for l, c in split_count.items()},
     )
 
 

@@ -32,6 +32,12 @@ def test_joint_perturbation_needs_a_link():
         Perturbation((), -1)
 
 
+@pytest.mark.parametrize("target", [5, ["l1", "l2"]])
+def test_target_must_be_an_id_or_a_tuple(target):
+    with pytest.raises(ValueError):
+        Perturbation(target, -1)
+
+
 def test_joint_target_must_be_links_of_the_solution(fat_tree):
     sol = gradient_graph(fat_tree)
     for target in [("l5", "zz"), ("l5", "f1")]:
@@ -42,7 +48,6 @@ def test_joint_target_must_be_links_of_the_solution(fat_tree):
 def _result_fields(res):
     return [repr(getattr(res, name)) for name in (
         "link_gradient", "flow_gradient", "visit_order",
-        "link_inflow_from", "link_split_count",
     )]
 
 
@@ -216,14 +221,17 @@ def test_region_membership_does_not_imply_nonzero_gradient(chain):
 
 def test_link_rule_checksum():
     # conservation: what the feeder flows gave up is exactly what the link
-    # redistributes over its remaining bottlenecked flows
+    # redistributes over its remaining bottlenecked flows. Feeders and split
+    # counts come from the reference propagation, gradients from the library.
     for seed in range(20):
         net = random_network(seed, max_links=8, max_flows=12, max_path_len=4)
         sol = gradient_graph(net)
         for link in net.links:
-            res = forward_grad(sol, Perturbation(link.id, -1))
-            for l, feeders in res.link_inflow_from.items():
-                split = res.link_split_count[l]
+            p = Perturbation(link.id, -1)
+            res = forward_grad(sol, p)
+            *_, inflow_from, split_count = _reference_forward_grad(sol, p)
+            for l, feeders in inflow_from.items():
+                split = split_count[l]
                 if l == link.id or split == 0:
                     continue  # dead ends absorb the drift (structure edge)
                 given_up = sum(res.flow_gradient[f] for f in feeders)
@@ -308,7 +316,9 @@ def test_bound_matches_definition_across_source_blocks():
 
 
 def _reference_forward_grad(solution, p):
-    """The gradient propagation on string ids, with every heap push kept."""
+    """The gradient propagation on string ids, with every heap push kept and
+    the link rule's bookkeeping: which flows fed each link, and over how
+    many unvisited bottlenecked flows its inflow was last split."""
     graph = solution.graph
     link_drift = {l: 0.0 for l in graph.link_ids}
     flow_drift = {f: 0.0 for f in graph.flow_ids}
@@ -316,12 +326,15 @@ def _reference_forward_grad(solution, p):
     inflow_from = {l: [] for l in graph.link_ids}
     split_count = {}
     sign = float(p.direction)
-    if solution.is_link(p.target):
-        succ = graph.bottlenecked_flows(p.target)
-        inflow[p.target] = sign
-        link_drift[p.target] = sign / len(succ) if succ else 0.0
-        split_count[p.target] = len(succ)
-        heap = [(solution.fair_share[p.target], link_drift[p.target], p.target)]
+    if isinstance(p.target, tuple) or solution.is_link(p.target):
+        heap = []
+        for t in p.target if isinstance(p.target, tuple) else (p.target,):
+            succ = graph.bottlenecked_flows(t)
+            inflow[t] = sign
+            link_drift[t] = sign / len(succ) if succ else 0.0
+            split_count[t] = len(succ)
+            heap.append((solution.fair_share[t], link_drift[t], t))
+        heapq.heapify(heap)
     else:
         flow_drift[p.target] = sign
         heap = [(solution.rate[p.target], sign, p.target)]
@@ -376,19 +389,37 @@ def _all_targets(net):
             yield Perturbation(v, d)
 
 
+def _flows_with_several_bottlenecks(sol):
+    return sum(1 for links in sol.bottlenecks_of.values() if len(links) >= 2)
+
+
 def test_forward_grad_matches_unpruned_reference():
+    several = 0
     for name, net in _sweep_networks():
         sol = gradient_graph(net)
+        several += _flows_with_several_bottlenecks(sol)
         for p in _all_targets(net):
             res = forward_grad(sol, p)
-            got = (
-                res.link_gradient,
-                res.flow_gradient,
-                res.visit_order,
-                res.link_inflow_from,
-                res.link_split_count,
-            )
-            assert got == _reference_forward_grad(sol, p), (name, p)
+            got = (res.link_gradient, res.flow_gradient, res.visit_order)
+            assert got == _reference_forward_grad(sol, p)[:3], (name, p)
+    # Both branches of the flow rule (one bottleneck link, several) run.
+    assert several > 0
+
+
+def test_joint_forward_grad_matches_unpruned_reference():
+    several = 0
+    for name, net in _sweep_networks():
+        sol = gradient_graph(net)
+        several += _flows_with_several_bottlenecks(sol)
+        link_ids = [l.id for l in net.links]
+        for i, a in enumerate(link_ids):
+            for b in link_ids[i + 1:]:
+                for d in (-1, 1):
+                    p = Perturbation((a, b), d)
+                    res = forward_grad(sol, p)
+                    got = (res.link_gradient, res.flow_gradient, res.visit_order)
+                    assert got == _reference_forward_grad(sol, p)[:3], (name, p)
+    assert several > 0
 
 
 def test_forward_grad_visit_order_invariants():
