@@ -7,7 +7,8 @@ diagnostics go to stderr and failures exit non-zero.
 Every JSON report is byte-identical to ``json.dumps(report, indent=2,
 sort_keys=True)``; ``solve`` writes its report directly from the solve's
 arrays instead of building the report dict.
-The comparison tolerance can be overridden for testing with QTBS_EPS.
+Every tie comparison uses the library's absolute tolerance ``qtbs.EPS``
+(1e-9); no command takes a tolerance.
 
 ``main`` pauses Python's cyclic garbage collector while its command runs.
 A command's data (networks, interned arrays, solutions, reports) holds no
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -32,7 +32,7 @@ from .errors import QtbsError
 from .export import dot_graph
 from .gradients import Perturbation, forward_grad, gradient_bound
 from .metrics import jain_index
-from .model import EPS, Network, parse_network
+from .model import Network, parse_network
 # Not called: ``parse_network`` already rejects every case ``validate``
 # reports. Kept importable as ``qtbs.cli.validate``, the entry point that
 # perfbench's tracer wraps for its ``model.validate_ms`` layer.
@@ -42,19 +42,6 @@ from .routing import _prober, _search, min_hop_path
 from .solver import BottleneckSolution, gradient_graph
 
 SCHEMA_VERSION = 1
-
-
-def _eps() -> float:
-    raw = os.environ.get("QTBS_EPS")
-    if raw is None:
-        return EPS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise QtbsError(f"QTBS_EPS must be a number, got {raw!r}")
-    if value <= 0:
-        raise QtbsError("QTBS_EPS must be positive")
-    return value
 
 
 def _load(path: str) -> Network:
@@ -158,7 +145,7 @@ def _solve_json(net: Network, sol: BottleneckSolution) -> str:
 
 def cmd_solve(args) -> int:
     net = _load(args.file)
-    sol = gradient_graph(net, _eps())
+    sol = gradient_graph(net)
     if args.format == "dot":
         sys.stdout.write(dot_graph(sol, backward_edges=args.backward_edges))
         return 0
@@ -183,7 +170,7 @@ def cmd_solve(args) -> int:
 
 def cmd_grad(args) -> int:
     net = _load(args.file)
-    sol = gradient_graph(net, _eps())
+    sol = gradient_graph(net)
     direction = -1 if args.direction == "down" else 1
     res = forward_grad(sol, Perturbation(args.target, direction))
     bound = gradient_bound(sol)
@@ -217,10 +204,9 @@ def cmd_grad(args) -> int:
 
 def cmd_route(args) -> int:
     net = _load(args.file)
-    eps = _eps()
     # One solve serves the search and the min-hop path's rate.
-    rate_on = _prober(net, eps)
-    route = _search(net, args.src, args.dst, eps, rate_on)
+    rate_on = _prober(net)
+    route = _search(net, args.src, args.dst, rate_on)
     hop_path = min_hop_path(net, args.src, args.dst)
     hop_rate = rate_on(hop_path)
     payload = {
@@ -247,7 +233,7 @@ def cmd_route(args) -> int:
 def cmd_shape(args) -> int:
     net = _load(args.file)
     low = [f.strip() for f in args.low_priority.split(",") if f.strip()]
-    plan = accelerate_flow(net, args.target, low, args.floor, _eps())
+    plan = accelerate_flow(net, args.target, low, args.floor)
     final = plan.final_solution
     payload = {
         "target": plan.target,
@@ -286,7 +272,7 @@ def cmd_shape(args) -> int:
 def cmd_taper(args) -> int:
     net = _load(args.file)
     scale = [l.strip() for l in args.scale_links.split(",") if l.strip()]
-    report = taper_fold(net, scale, args.lam, args.tau0, _eps())
+    report = taper_fold(net, scale, args.lam, args.tau0)
     payload = {
         "scale_links": list(report.scaled_links),
         "leaf_capacity": report.leaf_capacity,

@@ -14,7 +14,7 @@ class DuplicateIdError(NetworkFormatError):
 
 
 class UnknownLinkError(NetworkFormatError):
-    """A flow references a link that does not exist."""
+    """A flow or a network edit references a link that does not exist."""
 
 
 class CapacityError(NetworkFormatError):
@@ -27,6 +27,10 @@ class ReservedIdError(NetworkFormatError):
 
 class UnknownVertexError(QtbsError, KeyError):
     """A link or flow id is not present in the solution under query."""
+
+    def __str__(self) -> str:
+        # ``KeyError`` would print only the quoted id.
+        return f"unknown link or flow id {self.args[0]!r}"
 
 
 class RoutingError(QtbsError):

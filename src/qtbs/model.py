@@ -151,6 +151,8 @@ class Network:
 
     def with_capacity(self, link_id: LinkId, capacity: float) -> "Network":
         """A copy of this network with one link capacity replaced."""
+        if not self.has_link(link_id):
+            raise UnknownLinkError(f"unknown link {link_id!r}")
         links = tuple(
             Link(l.id, capacity, l.src, l.dst) if l.id == link_id else l
             for l in self.links

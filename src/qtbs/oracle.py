@@ -25,7 +25,7 @@ class OracleSolution:
     saturation_order: tuple[LinkId, ...]
 
 
-def waterfill(network: Network, eps: float = EPS) -> OracleSolution:
+def waterfill(network: Network) -> OracleSolution:
     """Classic max-min water-filling by repeated full scans.
 
     Each round finds the smallest headroom-per-active-flow over all links
@@ -58,7 +58,7 @@ def waterfill(network: Network, eps: float = EPS) -> OracleSolution:
             if not on_link:
                 continue
             share = (network.link(lid).capacity - frozen_on[lid]) / len(on_link)
-            if share <= best + eps:
+            if share <= best + EPS:
                 argmin.append(lid)
         to_freeze: set[FlowId] = set()
         for lid in argmin:
@@ -79,16 +79,16 @@ def waterfill(network: Network, eps: float = EPS) -> OracleSolution:
     return OracleSolution(rate=rate, fair_share=fair, saturation_order=tuple(order))
 
 
-def suggest_delta(network: Network, eps: float = EPS) -> float:
+def suggest_delta(network: Network) -> float:
     """A perturbation size safely inside one linear piece of the solution.
 
     1e-6 times the smallest positive gap between any two distinct base
     rates or fair shares, floored at 1e-12.
     """
-    base = waterfill(network, eps)
+    base = waterfill(network)
     values = sorted(set(list(base.rate.values()) + list(base.fair_share.values())))
     gap = min(
-        (b - a for a, b in zip(values, values[1:]) if b - a > eps),
+        (b - a for a, b in zip(values, values[1:]) if b - a > EPS),
         default=1.0,
     )
     return max(gap * 1e-6, 1e-12)
@@ -98,11 +98,7 @@ _FD_SHAPER = "__fd_shaper__"
 
 
 def fd_gradient(
-    network: Network,
-    target: str,
-    direction: int,
-    delta: float,
-    eps: float = EPS,
+    network: Network, target: str, direction: int, delta: float
 ) -> dict[str, float]:
     """Finite-difference gradients of every rate and fair share.
 
@@ -123,7 +119,7 @@ def fd_gradient(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
 
-    base = waterfill(network, eps)
+    base = waterfill(network)
     if network.has_link(target):
         cap = network.link(target).capacity
         perturbed_net = network.with_capacity(target, cap + direction * delta)
@@ -138,7 +134,7 @@ def fd_gradient(
     else:
         raise UnknownVertexError(target)
 
-    perturbed = waterfill(perturbed_net, eps)
+    perturbed = waterfill(perturbed_net)
     out: dict[str, float] = {}
     for f in base.rate:
         out[f] = (perturbed.rate[f] - base.rate[f]) / delta

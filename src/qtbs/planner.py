@@ -11,6 +11,7 @@ scale by replacing the scaled links' capacities in the interned arrays.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -97,7 +98,6 @@ def _collision_rho(
     solution: BottleneckSolution,
     link_grads: Mapping[LinkId, float],
     region_links: Iterable[LinkId],
-    eps: float,
 ) -> Optional[float]:
     """Smallest positive rate cut at which two fair-share lines meet.
 
@@ -110,10 +110,10 @@ def _collision_rho(
     for i, la in enumerate(links):
         for lb in links[i + 1:]:
             ga, gb = link_grads.get(la, 0.0), link_grads.get(lb, 0.0)
-            if abs(ga - gb) <= eps:
+            if abs(ga - gb) <= EPS:
                 continue
             rho = (solution.fair_share[la] - solution.fair_share[lb]) / (ga - gb)
-            if rho > eps and (best is None or rho < best):
+            if rho > EPS and (best is None or rho < best):
                 best = rho
     return best
 
@@ -123,7 +123,6 @@ def accelerate_flow(
     target: FlowId,
     low_priority: Iterable[FlowId],
     floor_rate: Optional[float] = None,
-    eps: float = EPS,
 ) -> ShapingPlan:
     """Greedy staged shaping plan that accelerates ``target``.
 
@@ -138,7 +137,8 @@ def accelerate_flow(
     structure-changing collision, clamped to keep every shaped flow at or
     above the floor. Stops when a bottleneck has no helping candidate or
     nothing is gained. The plan's ``final_solution`` is the last solve, of
-    the network with every shaper in.
+    the network with every shaper in. ``floor_rate`` must be finite; it
+    defaults to the slowest pre-plan rate.
     """
     if not network.has_flow(target):
         raise UnknownVertexError(target)
@@ -150,9 +150,11 @@ def accelerate_flow(
             raise UnknownVertexError(f)
     if target in low:
         raise PlanError("target flow cannot be in the low-priority set")
+    if floor_rate is not None and not math.isfinite(floor_rate):
+        raise PlanError(f"floor rate must be finite, got {floor_rate}")
 
     current = network
-    solution = gradient_graph(current, eps)
+    solution = gradient_graph(current)
     if floor_rate is None:
         floor_rate = min(solution.rate.values())
     baseline = solution.rate[target]
@@ -166,7 +168,7 @@ def accelerate_flow(
             break
         candidates = [
             f for f in low
-            if f not in shaped and solution.rate[f] - floor_rate > eps
+            if f not in shaped and solution.rate[f] - floor_rate > EPS
         ]
         if not candidates:
             break
@@ -180,7 +182,7 @@ def accelerate_flow(
             min((g_link.get(b, 0.0), f) for f, g_link in grads.items())
             for b in bottlenecks
         ]
-        if any(g_b >= -eps for g_b, _ in picks):
+        if any(g_b >= -EPS for g_b, _ in picks):
             break
         chosen = sorted({f for _, f in picks})
 
@@ -194,20 +196,20 @@ def accelerate_flow(
             )
 
         gain_slope = min(-joint_link_grad.get(b, 0.0) for b in bottlenecks)
-        if gain_slope <= eps:
+        if gain_slope <= EPS:
             break
 
-        rho_collision = _collision_rho(solution, joint_link_grad, region_links, eps)
+        rho_collision = _collision_rho(solution, joint_link_grad, region_links)
         rho_floor = min(solution.rate[f] - floor_rate for f in chosen)
         rho = rho_floor if rho_collision is None else min(rho_collision, rho_floor)
-        if rho <= eps:
+        if rho <= EPS:
             break
 
         before = solution.rate[target]
         for f in chosen:
             current = _with_shaper(current, f, solution.rate[f] - rho)
             shaped.add(f)
-            after = gradient_graph(current, eps)
+            after = gradient_graph(current)
             actions.append(
                 ShapingAction(
                     flow=f,
@@ -217,7 +219,7 @@ def accelerate_flow(
                 )
             )
         solution = after  # the solve of ``current``, with every shaper in
-        if solution.rate[target] - before <= eps:
+        if solution.rate[target] - before <= EPS:
             break
 
     return ShapingPlan(
@@ -270,7 +272,6 @@ def taper_fold(
     scale_links: Sequence[LinkId],
     leaf_capacity: float,
     tau0: float = 1.0,
-    eps: float = EPS,
 ) -> TaperReport:
     """Find the scale factor at which the flow levels of the structure fold.
 
@@ -301,7 +302,7 @@ def taper_fold(
 
     base_cap = leaf_capacity * tau0
     base_net = _scaled(network, scale_links, base_cap)
-    base = gradient_graph(base_net, eps)
+    base = gradient_graph(base_net)
     groups = _rate_groups(base)
     if len(groups) < 2:
         raise AlreadyFoldedError(
@@ -325,7 +326,7 @@ def taper_fold(
             check_capacity(scale_links[0], cap)
             for i in scaled:
                 caps[i] = cap
-            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows, eps)[0]
+            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows)[0]
         return rate
 
     # Band membership is frozen at tau0; two adjacent bands fold when the
@@ -364,10 +365,10 @@ def taper_fold(
         best: Optional[float] = None
         for r_lo, r_hi in zip(ordered, ordered[1:]):
             g_lo, g_hi = level_grad[r_lo], level_grad[r_hi]
-            if g_lo - g_hi <= eps:
+            if g_lo - g_hi <= EPS:
                 continue  # lines parallel or diverging
             dcap = (r_hi - r_lo) / (g_lo - g_hi)
-            if dcap > eps and (best is None or dcap < best):
+            if dcap > EPS and (best is None or dcap < best):
                 best = dcap
         if best is not None:
             tau_star = (base_cap + best) / leaf_capacity

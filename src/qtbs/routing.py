@@ -43,7 +43,7 @@ class RoutePath:
     distance: Mapping[RouterId, float]  # router -> 1 / best rate seen
 
 
-def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]:
+def _prober(network: Network) -> Callable[[Sequence[LinkId]], float]:
     """Solves ``network`` once; returns the rate of a probe on a path.
 
     The solve runs at the first call, so an unused prober solves nothing.
@@ -67,10 +67,10 @@ def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]
                 solver.interned(network.with_flow(Flow(PROBE_FLOW_ID, ())))
             link_ids, _, caps, flow_links, link_flows = solver.interned(network)
             rate, share, _, trav, pop_order, _, _ = solver.resolve(
-                caps, flow_links, link_flows, eps
+                caps, flow_links, link_flows
             )
             step, level, _ = probe_table(
-                caps, link_flows, eps, rate, share, trav, pop_order
+                caps, link_flows, EPS, rate, share, trav, pop_order
             )
             entry = dict(zip(link_ids, zip(step, level, range(len(link_ids)))))
         return min(map(entry.__getitem__, path))[1]
@@ -78,7 +78,7 @@ def _prober(network: Network, eps: float) -> Callable[[Sequence[LinkId]], float]
     return rate_on
 
 
-def rate_if_routed(network: Network, path: Sequence[LinkId], eps: float = EPS) -> float:
+def rate_if_routed(network: Network, path: Sequence[LinkId]) -> float:
     """Rate a probe flow would get on ``path``; the network is untouched.
 
     Equal, bit for bit, to the probe's rate in
@@ -93,7 +93,7 @@ def rate_if_routed(network: Network, path: Sequence[LinkId], eps: float = EPS) -
     for lid in path:
         if not network.has_link(lid):
             raise NetworkFormatError(f"probe path references unknown link {lid!r}")
-    return _prober(network, eps)(path)
+    return _prober(network)(path)
 
 
 def _router_adjacency(
@@ -117,16 +117,11 @@ def _router_adjacency(
     return adj
 
 
-def max_rate_path(
-    network: Network,
-    source: RouterId,
-    dest: RouterId,
-    eps: float = EPS,
-) -> RoutePath:
+def max_rate_path(network: Network, source: RouterId, dest: RouterId) -> RoutePath:
     """Find the path on which a new flow would get the highest rate.
 
     Frontier order is (distance, router id); a neighbour is relaxed only
-    when the new distance is smaller beyond ``eps``, which together with
+    when the new distance is smaller beyond ``EPS``, which together with
     the rate-decay property of path extension makes the search exact.
     The network is interned and solved once, at the first relaxation, and
     every candidate path's rate is read from that solve's probe table:
@@ -134,13 +129,11 @@ def max_rate_path(
     bit for bit the rate a solve of the probed network gives (see
     ``_prober``).
     """
-    return _search(network, source, dest, eps, _prober(network, eps))
+    return _search(network, source, dest, _prober(network))
 
 
-def _search(
-    network: Network, source: RouterId, dest: RouterId, eps: float, rate_on
-) -> RoutePath:
-    """``max_rate_path``, probing with ``rate_on``, a ``_prober(network, eps)``."""
+def _search(network: Network, source: RouterId, dest: RouterId, rate_on) -> RoutePath:
+    """``max_rate_path``, probing with ``rate_on``, a ``_prober(network)``."""
     adj = _router_adjacency(network, source, dest)
     if source == dest:
         raise RoutingError("source and destination must differ")
@@ -164,7 +157,7 @@ def _search(
             candidate = path_to[u] + (link_id,)
             rate = rate_on(candidate)
             d_v = 1.0 / rate
-            if d_v < dist.get(v, float("inf")) - eps:
+            if d_v < dist.get(v, float("inf")) - EPS:
                 dist[v] = d_v
                 best_rate[v] = rate
                 path_to[v] = candidate

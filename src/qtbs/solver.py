@@ -162,7 +162,6 @@ class BottleneckSolution:
     pop_order: tuple[LinkId, ...]
     heap_pops: int
     heap_updates: int
-    eps: float
 
     @cached_property
     def bottlenecks_of(self) -> Mapping[FlowId, tuple[LinkId, ...]]:
@@ -272,8 +271,9 @@ def _levels_topological(graph: GradientGraph) -> dict[str, int]:
     return dict(zip(graph.vertices(), level))
 
 
-def resolve(caps, flow_links, link_flows, eps: float = EPS):
-    """One kernel solve of interned arrays, as ``interned`` returns them.
+def resolve(caps, flow_links, link_flows):
+    """One kernel solve of interned arrays, as ``interned`` returns them,
+    at the library's tie tolerance ``EPS``.
 
     ``gradient_graph`` is ``interned`` plus this call plus the structure.
     Some callers intern a network and call this on its arrays: routing
@@ -286,12 +286,12 @@ def resolve(caps, flow_links, link_flows, eps: float = EPS):
     ``(rate, share, bneck, trav, pop_order, pops, updates)``.
     """
     try:
-        return _kernel.solve(caps, flow_links, link_flows, eps)
+        return _kernel.solve(caps, flow_links, link_flows, EPS)
     except RuntimeError as exc:
         raise SolverError(str(exc)) from exc
 
 
-def gradient_graph(network: Network, eps: float = EPS) -> BottleneckSolution:
+def gradient_graph(network: Network) -> BottleneckSolution:
     """Solve the network and build its bottleneck structure.
 
     Deterministic for a given input: heap ties break by ascending link id,
@@ -306,7 +306,7 @@ def gradient_graph(network: Network, eps: float = EPS) -> BottleneckSolution:
     """
     link_ids, flow_ids, caps, flow_links, link_flows = interned(network)
     rate, share, bneck, trav, pop_order, pops, updates = resolve(
-        caps, flow_links, link_flows, eps
+        caps, flow_links, link_flows
     )
     link_ids = tuple(link_ids)
     flow_ids = tuple(flow_ids)
@@ -318,7 +318,6 @@ def gradient_graph(network: Network, eps: float = EPS) -> BottleneckSolution:
         pop_order=tuple(link_ids[l] for l in pop_order),
         heap_pops=pops,
         heap_updates=updates,
-        eps=eps,
     )
 
 

@@ -74,6 +74,12 @@ def test_bad_capacity_rejected(capacity):
         parse_network(json.dumps(doc))
 
 
+def test_with_capacity_of_unknown_link_rejected(fat_tree):
+    with pytest.raises(UnknownLinkError, match="'nope'"):
+        fat_tree.with_capacity("nope", 1.0)
+    assert fat_tree.with_capacity("l5", 3.0).link("l5").capacity == 3.0
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(NetworkFormatError, match="unknown"):
         parse_network('{"links":[{"id":"l1","capacity":1,"color":"red"}],"flows":[]}')

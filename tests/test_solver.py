@@ -15,6 +15,8 @@ from qtbs import (
     region_of_influence,
 )
 import qtbs.solver
+from qtbs import _kernel
+from qtbs.model import interned
 from qtbs.solver import _levels, _levels_topological
 from test_kernel import _few_capacities
 
@@ -304,7 +306,9 @@ def test_levels_sweep_equals_topological_pass(eps, fallbacks):
     for capacities in ((1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)):
         nets += [_few_capacities(seed, capacities) for seed in range(60)]
     for net in nets:
-        graph = gradient_graph(net, eps).graph
+        link_ids, flow_ids, *arrays = interned(net)
+        _, _, bneck, trav, *_ = _kernel.solve(*arrays, eps)
+        graph = GradientGraph(tuple(link_ids), tuple(flow_ids), tuple(bneck), tuple(trav))
         got = _levels(graph)
         assert got == _levels_topological(graph)
         assert list(got) == list(graph.vertices())
