@@ -137,8 +137,8 @@ def accelerate_flow(
     structure-changing collision, clamped to keep every shaped flow at or
     above the floor. Stops when a bottleneck has no helping candidate or
     nothing is gained. The plan's ``final_solution`` is the last solve, of
-    the network with every shaper in. ``floor_rate`` must be finite; it
-    defaults to the slowest pre-plan rate.
+    the network with every shaper in. ``floor_rate`` must be finite and
+    positive; it defaults to the slowest pre-plan rate.
     """
     if not network.has_flow(target):
         raise UnknownVertexError(target)
@@ -150,8 +150,11 @@ def accelerate_flow(
             raise UnknownVertexError(f)
     if target in low:
         raise PlanError("target flow cannot be in the low-priority set")
-    if floor_rate is not None and not math.isfinite(floor_rate):
-        raise PlanError(f"floor rate must be finite, got {floor_rate}")
+    if floor_rate is not None:
+        if not math.isfinite(floor_rate):
+            raise PlanError(f"floor rate must be finite, got {floor_rate}")
+        if floor_rate <= 0:
+            raise PlanError(f"floor rate must be positive, got {floor_rate}")
 
     current = network
     solution = gradient_graph(current)

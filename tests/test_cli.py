@@ -277,6 +277,14 @@ def test_shape_rejects_a_non_finite_floor(capsys, floor):
     assert err.startswith("error: floor rate must be finite")
 
 
+@pytest.mark.parametrize("floor", ["0", "-3"])
+def test_shape_rejects_a_floor_at_or_below_zero(capsys, floor):
+    code, out, err = run(capsys, "shape", FIXTURES / "b4.json", "--target", "f1",
+                         "--low-priority", "f2,f3,f4,f5,f6,f7,f8", f"--floor={floor}")
+    assert (code, out) == (1, "")
+    assert err == f"error: floor rate must be positive, got {float(floor)}\n"
+
+
 def test_invalid_file_fails(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"links":[{"id":"l1","capacity":-1}],"flows":[]}')

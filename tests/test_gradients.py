@@ -250,8 +250,8 @@ def test_index_is_built_on_first_use_and_kept(chain):
     assert [ix.ids[w] for w in ix.succ[ix.index_of["l1"]]] == list(sol.graph.successors("l1"))
 
 
-def _reference_bound(solution):
-    """``d ** (D / 4)`` by its definition: one plain BFS per source."""
+def _reference_structure(solution):
+    """Successor lists and in-degrees of the full structure, on string ids."""
     graph = solution.graph
     succ = {v: [] for v in graph.vertices()}
     indeg = {v: 0 for v in graph.vertices()}
@@ -263,9 +263,13 @@ def _reference_bound(solution):
     for f, l in graph.traversal_edges:
         succ[f].append(l)
         indeg[l] += 1
-    d = max((max(len(succ[v]), indeg[v]) for v in graph.vertices()), default=0)
-    diameter = 0
-    for source in graph.vertices():
+    return succ, indeg
+
+
+def _eccentricities(succ):
+    """Each vertex's largest shortest-path distance, by one plain BFS."""
+    ecc = {}
+    for source in succ:
         dist = {source: 0}
         frontier = [source]
         while frontier:
@@ -276,7 +280,15 @@ def _reference_bound(solution):
                         dist[w] = dist[v] + 1
                         nxt.append(w)
             frontier = nxt
-        diameter = max(diameter, max(dist.values()))
+        ecc[source] = max(dist.values())
+    return ecc
+
+
+def _reference_bound(solution):
+    """``d ** (D / 4)`` by its definition: one plain BFS per source."""
+    succ, indeg = _reference_structure(solution)
+    d = max((max(len(succ[v]), indeg[v]) for v in succ), default=0)
+    diameter = max(_eccentricities(succ).values(), default=0)
     return float(d) ** (diameter / 4.0)
 
 
@@ -313,6 +325,59 @@ def test_bound_matches_definition_across_source_blocks():
     sol = gradient_graph(_chain(600))
     assert len(sol.graph.vertices()) > BOUND_SOURCE_BLOCK
     assert gradient_bound(sol) == _reference_bound(sol)
+
+
+def _check_bounds(nets):
+    """Compare each network's bound with the reference. Returns how many
+    networks had their diameter set by a flow (one more than the largest
+    link eccentricity) and how many by a link, and the largest, over the
+    networks, of ``min(links, candidates)``; the candidates are the flows
+    whose bottleneck links all have the largest link eccentricity."""
+    by_flow = by_link = sources = 0
+    for net in nets:
+        sol = gradient_graph(net)
+        assert gradient_bound(sol) == _reference_bound(sol)
+        ecc = _eccentricities(_reference_structure(sol)[0])
+        link_depth = max(ecc[l] for l in sol.graph.link_ids)
+        if max(ecc.values()) == link_depth + 1:
+            by_flow += 1
+        else:
+            assert max(ecc.values()) == link_depth
+            by_link += 1
+        candidates = [
+            f for f, links in sol.bottlenecks_of.items()
+            if all(ecc[l] == link_depth for l in links)
+        ]
+        sources = max(sources, min(len(sol.graph.link_ids), len(candidates)))
+    return by_flow, by_link, sources
+
+
+def _tied_bound_networks():
+    # Capacities 1 and 2 alternately: fair shares tie across many links.
+    for seed in range(60):
+        net = random_network(seed, max_links=12, max_flows=24, max_path_len=5)
+        links = tuple(Link(l.id, (1.0, 2.0)[i % 2]) for i, l in enumerate(net.links))
+        yield Network(links, net.flows)
+
+
+def test_bound_matches_definition_on_tied_capacities():
+    by_flow, by_link, _ = _check_bounds(_tied_bound_networks())
+    assert by_flow and by_link
+
+
+def test_bound_matches_definition_on_leaf_spine_trees():
+    trees = (leaf_spine(pods, hosts, 23.17)[0] for pods in (2, 3, 4) for hosts in (2, 3, 4))
+    by_flow, by_link, _ = _check_bounds(trees)
+    assert by_flow and by_link
+
+
+def test_bound_matches_definition_with_small_source_blocks(monkeypatch):
+    monkeypatch.setattr("qtbs.gradients.BOUND_SOURCE_BLOCK", 5)
+    nets = (random_network(seed, max_links=12, max_flows=24, max_path_len=5)
+            for seed in range(60))
+    by_flow, by_link, sources = _check_bounds(nets)
+    # Some network has more than one block of links and of candidates.
+    assert by_flow and by_link and sources > 5
 
 
 def _reference_forward_grad(solution, p):

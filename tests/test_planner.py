@@ -127,6 +127,13 @@ def test_non_finite_floor_rejected(shaping, floor):
         accelerate_flow(shaping, "f7", ["f1", "f3", "f4", "f8"], floor_rate=floor)
 
 
+@pytest.mark.parametrize("floor", [0, -3])
+def test_floor_below_or_at_zero_rejected(b4, floor):
+    low = ["f2", "f3", "f4", "f5", "f6", "f7", "f8"]
+    with pytest.raises(PlanError, match=f"^floor rate must be positive, got {floor}$"):
+        accelerate_flow(b4, "f1", low, floor_rate=floor)
+
+
 def test_target_in_low_priority_rejected(shaping):
     with pytest.raises(PlanError):
         accelerate_flow(shaping, "f7", ["f7"])
