@@ -21,6 +21,12 @@ Both calls run on the structure's cached integer index
 O((V + E) log V) per target: each vertex is visited once, each edge is
 relaxed at most once and pushes at most one heap entry (the flow rule also
 takes a minimum over the flow's bottleneck links when it has several).
+Its Python-level work is the visited region only, plus two C-level dict
+copies and the O(V) array set-up: heap keys read the solution's
+index-aligned ``values``, and both result dicts start as copies of
+all-zero templates kept on the index, with only the visited vertices
+written in. On the grad-2k5 benchmark network a call visits ~930 of the
+2,830 vertices on average.
 ``gradient_bound`` runs breadth-first searches from the ``L`` links and
 then from the ``C`` candidate flows, whose bottleneck links all have the
 largest link eccentricity: O(D * E * (L + C) / 64) machine-word
@@ -47,18 +53,22 @@ class Perturbation:
     """A signed infinitesimal change of one link capacity or flow rate.
 
     A tuple of link ids as ``target`` changes all of their capacities
-    together, each by the same amount. Any other target type is refused.
+    together, each by the same amount. Any other target type, and a
+    ``bool`` direction, are refused.
     """
 
     target: str | tuple[str, ...]
     direction: int = -1  # -1 tightens (shrink capacity / shape rate down)
 
     def __post_init__(self):
-        if self.direction not in (-1, 1):
+        if isinstance(self.direction, bool) or self.direction not in (-1, 1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
         if isinstance(self.target, tuple):
             if not self.target:
                 raise ValueError("a joint perturbation needs at least one link")
+            for v in self.target:
+                if not isinstance(v, str):
+                    raise ValueError(f"a joint target holds link ids, got {v!r}")
         elif not isinstance(self.target, str):
             raise ValueError(f"target must be an id or a tuple of ids, got {self.target!r}")
 
@@ -108,8 +118,7 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
     Vertices outside the targets' region of influence keep a gradient of
     exactly zero.
     """
-    graph = solution.graph
-    ix = graph.index
+    ix = solution.graph.index
     ids, succ, rank, n_links = ix.ids, ix.succ, ix.rank, ix.n_links
     joint = not isinstance(p.target, str)
     targets = []
@@ -120,7 +129,7 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
             raise UnknownVertexError(v)
         targets.append(t)
     bottleneck_links = ix.bottleneck_links
-    fair_share, rate = solution.fair_share, solution.rate
+    value = solution.values
     sign = float(p.direction)
 
     n = len(ids)
@@ -144,12 +153,10 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
             # silently.
             inflow[t] = sign
             drift[t] = sign / count if count else 0.0
-            value = fair_share[ids[t]]
         else:
             drift[t] = sign
-            value = rate[ids[t]]
         pushed[t] = drift[t]
-        heap.append((value, drift[t], rank[t], t))
+        heap.append((value[t], drift[t], rank[t], t))
     heapq.heapify(heap)
 
     while heap:
@@ -176,7 +183,7 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
                 drift[f] = d
                 if d < pushed[f]:
                     pushed[f] = d
-                    heapq.heappush(heap, (rate[ids[f]], d, rank[f], f))
+                    heapq.heappush(heap, (value[f], d, rank[f], f))
         else:
             for l in succ[y]:
                 if visited[l]:
@@ -188,13 +195,29 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
                 drift[l] = d
                 if d < pushed[l]:
                     pushed[l] = d
-                    heapq.heappush(heap, (fair_share[ids[l]], d, rank[l], l))
+                    heapq.heappush(heap, (value[l], d, rank[l], l))
 
+    # The results are copies of the all-zero templates with each visited
+    # vertex's drift written in. They equal dicts over every drift:
+    # - a drift is written only to a vertex that is pushed then or was
+    #   pushed before, and the heap drains, so every vertex that got a
+    #   drift has been visited; the others still hold their initial 0.0;
+    # - the copies keep the templates' id order;
+    # - each visited vertex is written with its exact drift, including the
+    #   sign of zero.
+    link_gradient = ix.link_zeros.copy()
+    flow_gradient = ix.flow_zeros.copy()
+    order = tuple(map(ids.__getitem__, visit_order))
+    for v, y in zip(order, visit_order):
+        if y < n_links:
+            link_gradient[v] = drift[y]
+        else:
+            flow_gradient[v] = drift[y]
     return GradientResult(
         perturbation=p,
-        link_gradient=dict(zip(graph.link_ids, drift)),
-        flow_gradient=dict(zip(graph.flow_ids, drift[n_links:])),
-        visit_order=tuple(map(ids.__getitem__, visit_order)),
+        link_gradient=link_gradient,
+        flow_gradient=flow_gradient,
+        visit_order=order,
     )
 
 

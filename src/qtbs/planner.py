@@ -279,7 +279,8 @@ def taper_fold(
     """Find the scale factor at which the flow levels of the structure fold.
 
     ``scale_links`` hold capacity ``leaf_capacity * tau``; the remaining
-    links are fixed. One ``forward_grad`` of all scaled links moved together
+    links are fixed. ``leaf_capacity`` and ``tau0`` must be finite and
+    positive. One ``forward_grad`` of all scaled links moved together
     gives each level's rate derivative w.r.t. their common capacity, and so
     each level's line rate(tau); the first intersection of adjacent level
     lines is the fold. Falls back to bisection on the max-min rate gap when
@@ -300,6 +301,9 @@ def taper_fold(
     for lid in scale_links:
         if not network.has_link(lid):
             raise UnknownVertexError(lid)
+    for name, v in (("leaf capacity", leaf_capacity), ("tau0", tau0)):
+        if not math.isfinite(v):
+            raise PlanError(f"{name} must be finite, got {v}")
     if leaf_capacity <= 0 or tau0 <= 0:
         raise PlanError("leaf capacity and tau0 must be positive")
 

@@ -36,6 +36,10 @@ class GraphIndex:
     n_bottlenecked: tuple[int, ...]
     # Position of each vertex in ascending id order over all vertices.
     rank: tuple[int, ...]
+    # Every link id, and every flow id, mapped to 0.0 in id order: result
+    # templates, to be copied and never handed out.
+    link_zeros: Mapping[str, float]
+    flow_zeros: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,8 @@ class GradientGraph:
             bottleneck_links=bottleneck_links,
             n_bottlenecked=tuple(len(succ[l]) for l in range(n_links)),
             rank=tuple(rank),
+            link_zeros=dict.fromkeys(self.link_ids, 0.0),
+            flow_zeros=dict.fromkeys(self.flow_ids, 0.0),
         )
 
     @cached_property
@@ -152,7 +158,8 @@ class GradientGraph:
 class BottleneckSolution:
     """Everything the solve produces for one network.
 
-    ``bottlenecks_of`` and ``level`` are built on first read and kept.
+    ``bottlenecks_of``, ``level`` and ``values`` are built on first read
+    and kept.
     """
 
     network: Network
@@ -177,6 +184,15 @@ class BottleneckSolution:
         resolved earlier and receive smaller rates.
         """
         return _levels(self.graph)
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """Each link's fair share, then each flow's rate: ``value`` of
+        every vertex in ``GradientGraph.index`` order."""
+        graph = self.graph
+        return tuple(map(self.fair_share.__getitem__, graph.link_ids)) + tuple(
+            map(self.rate.__getitem__, graph.flow_ids)
+        )
 
     def is_link(self, vertex: str) -> bool:
         return vertex in self.fair_share

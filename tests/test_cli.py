@@ -285,6 +285,17 @@ def test_shape_rejects_a_floor_at_or_below_zero(capsys, floor):
     assert err == f"error: floor rate must be positive, got {float(floor)}\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "nan"], "leaf capacity must be finite, got nan"),
+    (["--lambda", "20", "--tau0", "inf"], "tau0 must be finite, got inf"),
+])
+def test_taper_rejects_a_non_finite_lambda_or_tau0(capsys, args, message):
+    code, out, err = run(capsys, "taper", FIXTURES / "fat_tree.json",
+                         "--scale-links", "l5,l6", *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_invalid_file_fails(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"links":[{"id":"l1","capacity":-1}],"flows":[]}')

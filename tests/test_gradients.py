@@ -23,8 +23,10 @@ from qtbs.gradients import BOUND_SOURCE_BLOCK
 
 
 def test_perturbation_direction_validated():
-    with pytest.raises(ValueError):
-        Perturbation("l1", 0)
+    # ``True == 1``, but a bool is not a direction.
+    for direction in (0, True):
+        with pytest.raises(ValueError):
+            Perturbation("l1", direction)
 
 
 def test_joint_perturbation_needs_a_link():
@@ -32,7 +34,9 @@ def test_joint_perturbation_needs_a_link():
         Perturbation((), -1)
 
 
-@pytest.mark.parametrize("target", [5, ["l1", "l2"]])
+@pytest.mark.parametrize("target", [
+    5, ["l1", "l2"], (["l5"],), ("l5", 6), ("l5", None),
+])
 def test_target_must_be_an_id_or_a_tuple(target):
     with pytest.raises(ValueError):
         Perturbation(target, -1)
@@ -250,6 +254,35 @@ def test_index_is_built_on_first_use_and_kept(chain):
     assert [ix.ids[w] for w in ix.succ[ix.index_of["l1"]]] == list(sol.graph.successors("l1"))
 
 
+def test_results_are_fresh_dicts(fat_tree):
+    # Each result starts as a copy of the index's all-zero templates; writing
+    # into a returned result must not reach them or any later result.
+    sol = gradient_graph(fat_tree)
+    targets = [("f1", -1), ("l5", 1), (("l5", "l6"), -1)]
+    for p in (Perturbation(t, d) for t, d in targets):
+        first = forward_grad(sol, p)
+        want = _result_fields(first)
+        for grad in (first.link_gradient, first.flow_gradient):
+            for v in grad:
+                grad[v] = 99.0
+            grad["zz"] = 1.0
+        assert _result_fields(forward_grad(sol, p)) == want, p
+    ix = sol.graph.index
+    assert set(ix.link_zeros.values()) == set(ix.flow_zeros.values()) == {0.0}
+    assert tuple(ix.link_zeros) + tuple(ix.flow_zeros) == ix.ids
+
+
+def test_values_are_index_aligned():
+    for path in sorted(FIXTURES.glob("*.json")):
+        sol = gradient_graph(load(path.name))
+        assert "values" not in vars(sol)
+        ids = sol.graph.index.ids
+        assert len(sol.values) == len(ids), path.name
+        for i, v in enumerate(ids):
+            assert sol.values[i] == sol.value(v), (path.name, v)
+        assert sol.values is sol.values
+
+
 def _reference_structure(solution):
     """Successor lists and in-degrees of the full structure, on string ids."""
     graph = solution.graph
@@ -465,8 +498,8 @@ def test_forward_grad_matches_unpruned_reference():
         several += _flows_with_several_bottlenecks(sol)
         for p in _all_targets(net):
             res = forward_grad(sol, p)
-            got = (res.link_gradient, res.flow_gradient, res.visit_order)
-            assert got == _reference_forward_grad(sol, p)[:3], (name, p)
+            want = [repr(x) for x in _reference_forward_grad(sol, p)[:3]]
+            assert _result_fields(res) == want, (name, p)
     # Both branches of the flow rule (one bottleneck link, several) run.
     assert several > 0
 
@@ -482,8 +515,8 @@ def test_joint_forward_grad_matches_unpruned_reference():
                 for d in (-1, 1):
                     p = Perturbation((a, b), d)
                     res = forward_grad(sol, p)
-                    got = (res.link_gradient, res.flow_gradient, res.visit_order)
-                    assert got == _reference_forward_grad(sol, p)[:3], (name, p)
+                    want = [repr(x) for x in _reference_forward_grad(sol, p)[:3]]
+                    assert _result_fields(res) == want, (name, p)
     assert several > 0
 
 

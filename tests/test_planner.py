@@ -632,6 +632,18 @@ def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
     assert len(set(vectors)) == len(vectors)
 
 
+@pytest.mark.parametrize("leaf, tau0, message", [
+    (float("nan"), 1.0, "leaf capacity must be finite, got nan"),
+    (float("inf"), 1.0, "leaf capacity must be finite, got inf"),
+    (20.0, float("inf"), "tau0 must be finite, got inf"),
+    (20.0, float("-inf"), "tau0 must be finite, got -inf"),
+    (20.0, float("nan"), "tau0 must be finite, got nan"),
+])
+def test_taper_leaf_capacity_and_tau0_must_be_finite(fat_tree, leaf, tau0, message):
+    with pytest.raises(PlanError, match=f"^{message}$"):
+        taper_fold(fat_tree, ["l5", "l6"], leaf, tau0)
+
+
 def test_taper_scaled_capacity_must_be_finite():
     # A scaled capacity that overflows to inf is rejected by the re-solve,
     # as interning the scaled network would. On the 3 x 2 tree the gradient
