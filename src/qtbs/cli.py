@@ -3,7 +3,8 @@
 Subcommands: solve, grad, route, shape, taper, and export (an alias of
 ``solve --format dot``). Payload goes to stdout (tables by default,
 machine JSON with --format json, Graphviz DOT where applicable);
-diagnostics go to stderr and failures exit non-zero.
+diagnostics go to stderr and failures exit non-zero. A reader that closes
+stdout early ends the command with exit code 1 and nothing on stderr.
 Every JSON report is byte-identical to ``json.dumps(report, indent=2,
 sort_keys=True)``; ``solve`` writes its report directly from the solve's
 arrays instead of building the report dict.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -364,9 +366,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
         except QtbsError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # The reader closed stdout early, as ``| head`` does. Point
+            # stdout at devnull so that the flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
     finally:
         if gc_enabled:

@@ -2,12 +2,14 @@
 
 ``forward_grad`` pushes a unit perturbation of one link capacity, one flow
 rate, or the capacities of a set of links moved together through the
-structure's directed edges, combining two rules:
-
-* flow rule: a flow's drift is the minimum drift over its bottleneck links;
-  a flow with one bottleneck link takes that link's drift as it is;
-* link rule: a link's drift is minus the accumulated drift of the flows
-  feeding it, split evenly over its not-yet-visited bottlenecked flows.
+structure. The derivative of a max-min solve is itself a max-min
+water-fill, taken level by level in ascending base rate, where a level is
+one tie of the solve: links joined through the flows they bottleneck
+together. ``forward_grad`` runs it with one rule: links pop from a lazy
+heap in ascending (tie rate, drift, link) order, a link's drift is its
+budget split over its bottlenecked flows not yet frozen, and each flow
+freezes at the drift of the first of its bottleneck links to pop. At ties
+the gradients are exact, as at any other point.
 
 Gradients are reported directionally: ``gradient[y]`` is the first-order
 movement of ``y``'s rate or fair share per unit of perturbation magnitude,
@@ -18,15 +20,16 @@ conventional sign is ``gradient[y] / direction`` and is exposed as
 Both calls run on the structure's cached integer index
 (``GradientGraph.index``), built on the first call for a solution. With
 ``V`` vertices, ``E`` edges and diameter ``D``, ``forward_grad`` costs
-O((V + E) log V) per target: each vertex is visited once, each edge is
-relaxed at most once and pushes at most one heap entry (the flow rule also
-takes a minimum over the flow's bottleneck links when it has several).
-Its Python-level work is the visited region only, plus two C-level dict
-copies and the O(V) array set-up: heap keys read the solution's
-index-aligned ``values``, and both result dicts start as copies of
+O((V + E) log V) per target: each flow freezes once and relaxes each link
+it crosses once, each relaxation pushes at most one heap entry or causes
+at most one requeue, and each untouched link is queued as a tie partner
+at most once. Its Python-level work is the visited region only, plus two
+C-level dict copies and the O(V) array set-up: the heap keys are one
+C-level map over the links, each tie's rate read through its first flow
+(``GraphIndex.tie_flow``), and both result dicts start as copies of
 all-zero templates kept on the index, with only the visited vertices
-written in. On the grad-2k5 benchmark network a call visits ~930 of the
-2,830 vertices on average.
+written in. On the grad-2k5 benchmark network a call visits ~930
+of the 2,830 vertices on average.
 ``gradient_bound`` runs breadth-first searches from the ``L`` links and
 then from the ``C`` candidate flows, whose bottleneck links all have the
 largest link eccentricity: O(D * E * (L + C) / 64) machine-word
@@ -36,8 +39,8 @@ the flows (26 of 2,500 on a random 330-link network).
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .errors import UnknownVertexError
@@ -111,114 +114,122 @@ def forward_grad(solution: BottleneckSolution, p: Perturbation) -> GradientResul
     """Compute all gradients with respect to one perturbed link or flow, or
     to a set of links perturbed together.
 
-    Each vertex is visited at most once, in ascending (value, drift, id)
-    heap order, mirroring the order in which the solve resolves the
-    structure. Every target link starts with the perturbation as its
-    inflow, so flows that reach it before it is visited add theirs to it.
-    Vertices outside the targets' region of influence keep a gradient of
-    exactly zero.
+    The gradients are the derivatives of the max-min solve, which are
+    themselves a max-min water-fill, taken tie by tie in ascending base
+    rate. Links pop from a lazy heap in ascending (tie rate, drift, link)
+    order, the tie rate being the rate of the tie's first flow. A link's
+    budget is the perturbation on it minus the drifts of the frozen flows
+    that cross it, and its drift is that budget split over its
+    bottlenecked flows not yet frozen. When a link pops, those flows freeze
+    at its drift, so each flow takes the drift of the first of its
+    bottleneck links to pop. A link whose last bottlenecked flow freezes
+    elsewhere reports its budget plus its fastest flow's drift, the
+    derivative of its saturation level.
+
+    A flow target freezes first, at the direction; an upward one is a
+    forced increase. A link target's budget is the direction. A link that
+    nothing has touched has drift 0: before a link pops with a positive
+    drift, the untouched bottleneck links of its flows are queued at 0, and
+    they hold those flows there. Vertices outside the targets' region of
+    influence keep a gradient of exactly zero, and a link that bottlenecks
+    no flow keeps 0. ``visit_order`` lists the links as they pop or lose
+    their last flow and the flows as they freeze.
     """
     ix = solution.graph.index
-    ids, succ, rank, n_links = ix.ids, ix.succ, ix.rank, ix.n_links
+    ids, succ, n_links, bottleneck_links = ix.ids, ix.succ, ix.n_links, ix.bottleneck_links
+    # The level key: a tie's links take the rate of its first flow, so a
+    # flow's bottleneck links pop as one level even where their fair shares
+    # differ in the last bits. A link that bottlenecks no flow takes its
+    # fair share (``fair_share`` iterates in link index order).
+    key = list(map(solution.rate.get, ix.tie_flow, solution.fair_share.values()))
+    sign = float(p.direction)
+    inf = float("inf")
+
+    grad = [0.0] * len(ids)
+    done = [False] * len(ids)  # a frozen flow, or a link whose drift is final
+    budget = [0.0] * n_links
+    # A link's successors are the flows it bottlenecks.
+    unfrozen = list(map(len, succ[:n_links]))
+    # Each link's smallest queued drift is at most ``queued[l]``, which is
+    # inf while nothing has touched the link: its drift is then 0, unqueued.
+    queued = [inf] * n_links
+    visit_order, heap = [], []
+    frozen, d = (), 0.0
     joint = not isinstance(p.target, str)
-    targets = []
     for v in p.target if joint else (p.target,):
         t = ix.index_of.get(v)
         # A joint target holds links only.
         if t is None or (joint and t >= n_links):
             raise UnknownVertexError(v)
-        targets.append(t)
-    bottleneck_links = ix.bottleneck_links
-    value = solution.values
-    sign = float(p.direction)
-
-    n = len(ids)
-    drift = [0.0] * n
-    inflow = [0.0] * n_links
-    # Bottlenecked flows of each link not visited yet (the link-rule split).
-    unvisited = list(ix.n_bottlenecked)
-    visited = [False] * n
-    # Smallest drift pushed per vertex. The value and id parts of a vertex's
-    # key are fixed, so it is first popped at this drift and a push with a
-    # drift no smaller could only ever pop as a stale entry.
-    pushed = [float("inf")] * n
-    visit_order: list[int] = []
-
-    heap = []
-    for t in targets:
-        if t < n_links:
-            count = ix.n_bottlenecked[t]
-            # The capacity change splits evenly over the bottlenecked flows;
-            # a link that bottlenecks no flow absorbs the perturbation
-            # silently.
-            inflow[t] = sign
-            drift[t] = sign / count if count else 0.0
+        if t >= n_links:
+            frozen, d = (t,), sign  # a flow target freezes first
         else:
-            drift[t] = sign
-        pushed[t] = drift[t]
-        heap.append((value[t], drift[t], rank[t], t))
-    heapq.heapify(heap)
+            budget[t] = sign
+            queued[t] = sign / unfrozen[t] if unfrozen[t] else 0.0
+            heappush(heap, (key[t], queued[t], t))
 
-    while heap:
-        y = heapq.heappop(heap)[3]
-        if visited[y]:
-            continue
-        visited[y] = True
-        visit_order.append(y)
-        for l in bottleneck_links[y]:
-            unvisited[l] -= 1
-        d_y = drift[y]
-        if d_y == 0.0:
-            continue  # zero drifts do not propagate
-        # The structure is bipartite: a link's successors are flows, a
-        # flow's successors are links.
-        if y < n_links:
-            for f in succ[y]:
-                if visited[f]:
+    while True:
+        # Freeze the flows at ``d``: each leaves its bottleneck links' counts
+        # and takes ``d`` off the budget of every link it crosses.
+        for f in frozen:
+            done[f] = True
+            grad[f] = d
+            visit_order.append(f)
+            for l in bottleneck_links[f]:
+                unfrozen[l] -= 1
+            for l in succ[f]:
+                if done[l] or (not d and queued[l] == inf):
+                    continue  # a zero drift leaves an untouched link at 0
+                b = budget[l] = budget[l] - d
+                n = unfrozen[l]
+                if not n and succ[l]:
+                    # ``f`` was the link's last flow: its saturation level,
+                    # leftover plus its fastest flow's rate, moves with both.
+                    done[l] = True
+                    grad[l] = b + max([grad[g] for g in succ[l]])
+                    visit_order.append(l)
                     continue
-                # Flow rule: minimum drift over the flow's bottleneck links,
-                # ``y`` among them.
-                bl = bottleneck_links[f]
-                d = d_y if len(bl) == 1 else min([drift[l] for l in bl])
-                drift[f] = d
-                if d < pushed[f]:
-                    pushed[f] = d
-                    heapq.heappush(heap, (value[f], d, rank[f], f))
+                d2 = b / n if n else 0.0  # 0 if it bottlenecks no flow
+                if d2 < queued[l]:
+                    queued[l] = d2
+                    heappush(heap, (key[l], d2, l))
+        # Pop the next link whose drift is final; stop when none is left.
+        while heap:
+            _, d, l = heappop(heap)
+            if done[l]:
+                continue
+            n = unfrozen[l]
+            if n and d != budget[l] / n:
+                # The drift rose since the link was queued: requeue it.
+                queued[l] = d = budget[l] / n
+                heappush(heap, (key[l], d, l))
+            elif d > 0.0 and (held := [
+                l2 for f in succ[l] if not done[f]
+                for l2 in bottleneck_links[f] if queued[l2] == inf
+            ]):
+                # Untouched tie partners hold their flows at 0, below ``d``.
+                for l2 in held:
+                    queued[l2] = 0.0
+                    heappush(heap, (key[l2], 0.0, l2))
+                heappush(heap, (key[l], d, l))
+            else:
+                break
         else:
-            for l in succ[y]:
-                if visited[l]:
-                    continue
-                # Link rule: accumulate inflow, split over what remains.
-                inflow[l] -= d_y
-                remaining = unvisited[l]
-                d = inflow[l] / remaining if remaining else 0.0
-                drift[l] = d
-                if d < pushed[l]:
-                    pushed[l] = d
-                    heapq.heappush(heap, (value[l], d, rank[l], l))
+            break
+        done[l] = True
+        grad[l] = d
+        visit_order.append(l)
+        frozen = [f for f in succ[l] if not done[f]]
 
     # The results are copies of the all-zero templates with each visited
-    # vertex's drift written in. They equal dicts over every drift:
-    # - a drift is written only to a vertex that is pushed then or was
-    #   pushed before, and the heap drains, so every vertex that got a
-    #   drift has been visited; the others still hold their initial 0.0;
-    # - the copies keep the templates' id order;
-    # - each visited vertex is written with its exact drift, including the
-    #   sign of zero.
+    # vertex's gradient written in; every vertex that was not visited has
+    # gradient 0.0.
     link_gradient = ix.link_zeros.copy()
     flow_gradient = ix.flow_zeros.copy()
     order = tuple(map(ids.__getitem__, visit_order))
     for v, y in zip(order, visit_order):
-        if y < n_links:
-            link_gradient[v] = drift[y]
-        else:
-            flow_gradient[v] = drift[y]
-    return GradientResult(
-        perturbation=p,
-        link_gradient=link_gradient,
-        flow_gradient=flow_gradient,
-        visit_order=order,
-    )
+        (link_gradient if y < n_links else flow_gradient)[v] = grad[y]
+    return GradientResult(p, link_gradient, flow_gradient, order)
 
 
 def gradient_bound(solution: BottleneckSolution) -> float:

@@ -130,9 +130,9 @@ def accelerate_flow(
     above the floor. For each bottleneck link of the target, the candidate
     whose rate cut raises that link's fair share fastest (most negative
     derivative, then smallest id) is picked, and the picks are cut by a
-    common amount: a flow's drift is the minimum over its bottleneck links
-    (the gradient graph's flow rule), so the target gains only when every
-    bottleneck's share rises. With one bottleneck, this is the target's own
+    common amount: a flow's rate is the smallest fair share of its
+    bottleneck links, so the target gains only when every bottleneck's
+    share rises. With one bottleneck, this is the target's own
     rate derivative, bit for bit. The cut size is the smallest
     structure-changing collision, clamped to keep every shaped flow at or
     above the floor. Stops when a bottleneck has no helping candidate or

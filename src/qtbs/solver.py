@@ -32,10 +32,11 @@ class GraphIndex:
     succ: tuple[tuple[int, ...], ...]
     # A flow's bottleneck links in ascending id order; empty for links.
     bottleneck_links: tuple[tuple[int, ...], ...]
-    # Per link, the number of flows it bottlenecks.
-    n_bottlenecked: tuple[int, ...]
-    # Position of each vertex in ascending id order over all vertices.
-    rank: tuple[int, ...]
+    # Per link, the id of the first flow of its tie, or None if it
+    # bottlenecks no flow. A tie is a set of links joined through the flows
+    # they bottleneck together; its first flow, in the solve's edge order,
+    # is one its first pop resolved.
+    tie_flow: tuple[FlowId | None, ...]
     # Every link id, and every flow id, mapped to 0.0 in id order: result
     # templates, to be copied and never handed out.
     link_zeros: Mapping[str, float]
@@ -95,21 +96,26 @@ class GradientGraph:
         bottleneck_links = ((),) * n_links + tuple(
             tuple(sorted(set(e))) for e in succ_lists[n_links:]
         )
+        # The pairs come in the solve's pop order: the first pair of a tie
+        # names every link of it, reached through the flows they bottleneck.
+        tie_flow: list[FlowId | None] = [None] * n_links
+        for l, f in self.bottleneck_pairs:
+            stack = [l]
+            while stack:
+                if tie_flow[l2 := stack.pop()] is None:
+                    tie_flow[l2] = self.flow_ids[f]
+                    stack += [l3 for f2 in succ_lists[l2] for l3 in succ_lists[f2]]
         for f, l in self.traversal_pairs:
             succ_lists[flow_vertex[f]].append(l)
         # The structure is bipartite, so index order is id order.
         succ = tuple(tuple(sorted(set(e))) for e in succ_lists)
-        rank = [0] * len(ids)
-        for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-            rank[i] = r
         return GraphIndex(
             ids=ids,
             index_of={v: i for i, v in enumerate(ids)},
             n_links=n_links,
             succ=succ,
             bottleneck_links=bottleneck_links,
-            n_bottlenecked=tuple(len(succ[l]) for l in range(n_links)),
-            rank=tuple(rank),
+            tie_flow=tuple(tie_flow),
             link_zeros=dict.fromkeys(self.link_ids, 0.0),
             flow_zeros=dict.fromkeys(self.flow_ids, 0.0),
         )
@@ -158,8 +164,7 @@ class GradientGraph:
 class BottleneckSolution:
     """Everything the solve produces for one network.
 
-    ``bottlenecks_of``, ``level`` and ``values`` are built on first read
-    and kept.
+    ``bottlenecks_of`` and ``level`` are built on first read and kept.
     """
 
     network: Network
@@ -184,15 +189,6 @@ class BottleneckSolution:
         resolved earlier and receive smaller rates.
         """
         return _levels(self.graph)
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        """Each link's fair share, then each flow's rate: ``value`` of
-        every vertex in ``GradientGraph.index`` order."""
-        graph = self.graph
-        return tuple(map(self.fair_share.__getitem__, graph.link_ids)) + tuple(
-            map(self.rate.__getitem__, graph.flow_ids)
-        )
 
     def is_link(self, vertex: str) -> bool:
         return vertex in self.fair_share

@@ -451,6 +451,22 @@ def test_solve_json_stdout_in_subprocess(capsys, tmp_path):
         assert proc.stdout == out.encode(), path.name
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # The reader stops at once, as ``qtbs solve big.json | head -1`` does;
+    # the table is far larger than a 64 KiB pipe buffer.
+    capacities = [c / 100 for c in range(100, 10001)]
+    big = _write(tmp_path, "random-2k.json", _random_doc(11, 200, 2000, capacities))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtbs.cli", "solve", str(big)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
+
+
 # -- the cyclic collector is paused for a command, and only by the CLI ---------
 
 @pytest.fixture

@@ -109,6 +109,17 @@ def test_collision_size_is_a_structure_breakpoint(shaping):
     assert bneck_count(0.5 - 1e-6) == 1
 
 
+def test_fat_tree_plan_caps_the_flow_at_its_tie(fat_tree):
+    # f1 and f4 share their two bottleneck links, l1 and l2, which tie at
+    # 5.0; only an exact gradient at that tie shows that capping f4 lifts f1.
+    low = [f.id for f in fat_tree.flows if f.id != "f1"]
+    plan = accelerate_flow(fat_tree, "f1", low)
+    assert [(a.flow, a.shaper_rate, a.predicted_target_rate) for a in plan.actions] == [
+        ("f4", 2.5, 7.5)
+    ]
+    assert waterfill(apply_plan(fat_tree, plan)).rate["f1"] == pytest.approx(7.5, abs=1e-9)
+
+
 def test_no_negative_candidate_gives_empty_plan(shaping):
     # f8 cannot help f7 and f7 itself is excluded
     plan = accelerate_flow(shaping, "f7", ["f8"])
@@ -361,8 +372,8 @@ def test_one_rule_matches_the_two_rule_reference(shaping):
 
 
 def test_single_bottleneck_rate_derivative_is_its_links(shaping):
-    # By the flow rule a flow's drift is the minimum over its bottleneck
-    # links; with one bottleneck it is that link's drift, bit for bit (the
+    # A flow freezes at the drift of the first of its bottleneck links to
+    # pop; with one bottleneck it takes that link's drift, bit for bit (the
     # sign of a zero included), for any perturbed flow.
     pairs = 0
     for net in [shaping] + [net for net, _ in _random_plan_networks()]:
