@@ -20,12 +20,15 @@ def solve(caps, flow_links, link_flows, eps):
     link_flows: per link, sorted list of traversing flow indices
     eps:        absolute tolerance for rate/fair-share ties
 
-    Returns (rate, share, bneck_edges, trav_edges, pop_order, pops, updates):
-    rate[f] is each flow's max-min rate, share[l] each link's fair share,
-    bneck_edges the (link, flow) bottleneck relation, trav_edges the
-    (flow, link) edges to traversed non-bottleneck links, pop_order the
-    link resolution order, pops the number of links popped and updates the
-    number of fair-share updates (not heap pushes: see below).
+    Returns (rate, share, bneck_link, bneck_flow, trav_flow, trav_link,
+    pop_order, pops, updates): rate[f] is each flow's max-min rate,
+    share[l] each link's fair share; bottleneck edge i runs from link
+    bneck_link[i] to flow bneck_flow[i], and traversal edge i from flow
+    trav_flow[i] to the traversed non-bottleneck link trav_link[i], both
+    in emission order; pop_order is the link resolution order, pops the
+    number of links popped and updates the number of fair-share updates
+    (not heap pushes: see below), counted from the traversal edges and
+    the links they drained.
 
     The solve pops links until the heap is empty; once every flow is
     resolved, a pop only records a tied link's bottleneck edges.
@@ -57,13 +60,17 @@ def solve(caps, flow_links, link_flows, eps):
 
     heap = [(share[l], l) for l in range(n_links) if not closed[l]]
     heapify(heap)
+    n_live = len(heap)
 
-    bneck_edges = []
-    trav_edges = []
+    bneck_link = []
+    bneck_flow = []
+    trav_flow = []
+    trav_link = []
     pop_order = []
-    bneck_append = bneck_edges.append
-    trav_append = trav_edges.append
-    updates = 0
+    bl_append = bneck_link.append
+    bf_append = bneck_flow.append
+    tf_append = trav_flow.append
+    tl_append = trav_link.append
     unresolved = n_flows
 
     while heap:
@@ -82,7 +89,8 @@ def solve(caps, flow_links, link_flows, eps):
         for f in link_flows[l]:
             if rate[f] < lo:
                 continue
-            bneck_append((l, f))
+            bl_append(l)
+            bf_append(f)
             if resolved[f]:
                 continue
             rate[f] = s_l
@@ -92,7 +100,8 @@ def solve(caps, flow_links, link_flows, eps):
                 if closed[l2]:
                     continue  # l itself, or already resolved
                 if share[l2] > hi:
-                    trav_append((f, l2))
+                    tf_append(f)
+                    tl_append(l2)
                     avail[l2] -= s_l
                     n = nrem[l2] - 1
                     nrem[l2] = n
@@ -109,23 +118,29 @@ def solve(caps, flow_links, link_flows, eps):
                             # below its old entry.
                             heappush(heap, (s2, l2))
                         share[l2] = s2
-                        updates += 1
                 # else: tie within eps; the flow is bottlenecked at l2 as
                 # well and picks up its edge when l2 is popped.
 
     if unresolved:
         raise RuntimeError("no live link left while flows remain unresolved")
-    return rate, share, bneck_edges, trav_edges, pop_order, len(pop_order), updates
+    # Every live link popped or drained; each traversal edge that did not
+    # drain its link updated its share.
+    pops = len(pop_order)
+    updates = len(trav_link) - (n_live - pops)
+    return (rate, share, bneck_link, bneck_flow, trav_flow, trav_link,
+            pop_order, pops, updates)
 
 
-def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):
+def probe_table(caps, link_flows, eps, rate, share, trav_flow, trav_link, pop_order):
     """Per link, where one extra flow through it would resolve.
 
     ``caps``, ``link_flows`` and ``eps`` are a full ``solve``'s input, the
-    rest its output. Returns ``(step, level, frozen)``: link ``l`` would pop
-    before base pop ``step[l]`` (``len(pop_order)`` after the last) at
-    fair share ``level[l]`` if it carried one more unresolved flow (the
-    probe); ``frozen`` counts the traversal edges the tie rule skipped.
+    rest its output, with the traversal edges as its two parallel lists
+    ``trav_flow`` and ``trav_link``. Returns ``(step, level, frozen)``:
+    link ``l`` would pop before base pop ``step[l]`` (``len(pop_order)``
+    after the last) at fair share ``level[l]`` if it carried one more
+    unresolved flow (the probe); ``frozen`` counts the traversal edges the
+    tie rule skipped.
 
     A probe on path P resolves at the link of P with the smallest
     ``(step[l], level[l], l)``, at rate ``level[l]``, equal bit for bit to
@@ -137,10 +152,10 @@ def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):
       more than its base state (one flow more on the same leftover);
     - each link of P follows the base's resolutions of its flows and its
       own share alone: start at ``c/(n+1)``; at each base traversal edge
-      ``(f, l)`` take ``rate[f]`` off and one flow off the count, exactly
-      as ``solve`` does, but only while the share is ``> rate[f] + eps``
-      (``solve``'s tie rule, which the lower share can meet where the base
-      did not; the share then stays);
+      from ``f`` to ``l`` take ``rate[f]`` off and one flow off the count,
+      exactly as ``solve`` does, but only while the share is
+      ``> rate[f] + eps`` (``solve``'s tie rule, which the lower share can
+      meet where the base did not; the share then stays);
     - it pops before the first base pop whose ``(share, link)`` key is
       ``>=`` its own, as ``solve``'s heap orders them.
 
@@ -162,7 +177,7 @@ def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):
             resolved_at[f] = j
     frozen = 0
     t = 0
-    n_trav = len(trav_edges)
+    n_trav = len(trav_flow)
 
     for j, top in enumerate(pop_order):
         # Every running link whose key is below base pop j's pops first.
@@ -181,9 +196,10 @@ def probe_table(caps, link_flows, eps, rate, share, trav_edges, pop_order):
         # Base pop j's traversal edges: the flows it resolved leave their
         # other links. They come in the kernel's order, pop by pop.
         while t < n_trav:
-            f, l = trav_edges[t]
+            f = trav_flow[t]
             if resolved_at[f] != j:
                 break
+            l = trav_link[t]
             t += 1
             if step[l] < n_pops:
                 continue

@@ -95,8 +95,10 @@ def _solve_json(net: Network, sol: BottleneckSolution) -> str:
 
     Written from the solve's arrays: ``link_ids`` and ``flow_ids`` ascend by
     raw id, as ``sort_keys`` orders keys (not by escaped text), so the rate
-    and fair-share sections need no sort, and ``bottlenecks_of`` is grouped
-    from ``bottleneck_pairs`` without building the string views.
+    and fair-share sections need no sort; ``bottlenecks_of`` is grouped
+    from the bottleneck edge arrays without building the string views, and
+    ``levels`` is written from the level values in vertex order, through
+    one sort of the vertex indices by id.
     """
     graph = sol.graph
     lkey = list(map(encode_basestring_ascii, graph.link_ids))
@@ -110,22 +112,28 @@ def _solve_json(net: Network, sol: BottleneckSolution) -> str:
     share_block = _block([f"{k}: {text[s]}" for k, s in zip(lkey, shares)])
 
     # Each flow's bottleneck links, joined into the body of its array.
-    # Sorting the (link, flow) pairs lists them in ascending id order; the
-    # kernel emits each pair once and gives every flow at least one.
+    # Taking the edges by ascending link lists them in ascending id order;
+    # the kernel emits each edge once and gives every flow at least one.
     joined: list[str | None] = [None] * len(fkey)
-    for l, f in sorted(graph.bottleneck_pairs):
+    bl, bf = graph.bneck_link, graph.bneck_flow
+    for i in sorted(range(len(bl)), key=bl.__getitem__):
+        f = bf[i]
         prev = joined[f]
-        joined[f] = lkey[l] if prev is None else prev + ",\n      " + lkey[l]
+        k = lkey[bl[i]]
+        joined[f] = k if prev is None else prev + ",\n      " + k
     bneck_block = _block([
         f"{k}: []" if ls is None else f"{k}: [\n      {ls}\n    ]"
         for k, ls in zip(fkey, joined)
     ])
 
-    key_of = dict(zip(graph.vertices(), lkey + fkey))
-    text = _numbers(sol.level.values())
-    level_block = _block(
-        [f"{key_of[v]}: {text[n]}" for v, n in sorted(sol.level.items())]
-    )
+    ids = graph.vertices()
+    keys = lkey + fkey
+    levels = list(sol.level.values())  # vertex order
+    text = _numbers(levels)
+    level_block = _block([
+        f"{keys[i]}: {text[levels[i]]}"
+        for i in sorted(range(len(ids)), key=ids.__getitem__)
+    ])
 
     jain = jain_index(rates) if rates else None
     return (

@@ -1,6 +1,7 @@
 """Fairness metrics."""
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable
 
 
@@ -13,9 +14,9 @@ def jain_index(values: Iterable[float]) -> float:
     xs = list(values)
     if not xs:
         raise ValueError("jain_index requires at least one value")
-    if any(x < 0 for x in xs):
+    if min(xs) < 0:
         raise ValueError("jain_index requires non-negative values")
-    total_sq = sum(x * x for x in xs)
+    total_sq = sum(map(mul, xs, xs))
     if total_sq == 0:
         raise ValueError("jain_index requires at least one non-zero value")
     total = sum(xs)

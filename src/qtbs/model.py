@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     CapacityError,
@@ -49,17 +49,22 @@ class Link:
         return (self.src, self.dst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
-    """A flow and the ordered list of links it traverses."""
+    """A flow and the ordered list of links it traverses.
+
+    Slotted, with no per-instance dict: a 10k-flow document makes 10k of
+    them. ``path`` is always a tuple; ``parse_network`` fills it with the
+    links' own id strings.
+    """
 
     id: FlowId
     path: tuple[LinkId, ...]
 
-    def __post_init__(self):
+    def __init__(self, id: FlowId, path: Iterable[LinkId]):
+        object.__setattr__(self, "id", id)
         # ``parse_network`` and derived networks already pass a tuple.
-        if type(self.path) is not tuple:
-            object.__setattr__(self, "path", tuple(self.path))
+        object.__setattr__(self, "path", path if type(path) is tuple else tuple(path))
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,9 @@ def parse_network(document: str | bytes | dict) -> Network:
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # Bytes that are not UTF-8, or arrays nested past the recursion
+            # limit, are invalid documents too.
             raise NetworkFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = document
@@ -267,12 +274,12 @@ def parse_network(document: str | bytes | dict) -> Network:
         path = entry.get("links")
         if not (isinstance(path, list) and path):
             raise NetworkFormatError(f"flow {fid!r}: 'links' must be a non-empty array")
-        # The path's sorted link indices decide a valid path: every entry is
-        # a link id (a string), and the indices are distinct. Only a failing
-        # path runs the checks below, whose order picks the error and its
+        # The path's link indices decide a valid path: every entry is a link
+        # id (a string), and the indices are distinct. Only a failing path
+        # runs the checks below, whose order picks the error and its
         # message.
         try:
-            ls = sorted(map(index.__getitem__, path))
+            ls = list(map(index.__getitem__, path))
         except (KeyError, TypeError):  # not a link id, or unhashable
             ls = None
         if ls is None or len(set(ls)) != len(ls):
@@ -283,7 +290,10 @@ def parse_network(document: str | bytes | dict) -> Network:
             for lid in path:
                 if lid not in seen_links:
                     raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
-        flows.append(Flow(fid, tuple(path)))
+        # The path holds the links' own id strings, read back through the
+        # indices, so the document's copies die with it.
+        flows.append(Flow(fid, tuple(map(link_ids.__getitem__, ls))))
+        ls.sort()
         flow_links.append(ls)
 
     # Flows in id order, as ``Network`` keeps them, and each link's flows.

@@ -1,8 +1,9 @@
 """Brute-force verification tools, independent of the main engine.
 
 ``waterfill`` is a deliberately naive progressive-filling max-min solver:
-no heap, no structure graph, rescanning every link each round. It shares
-only the Network type with the solver so the two can check each other.
+no heap, no structure graph, rescanning every live link each round. It
+shares only the Network type with the solver so the two can check each
+other.
 ``fd_gradient`` turns it into a finite-difference gradient oracle, and
 ``random_network`` generates reproducible test instances.
 """
@@ -26,55 +27,50 @@ class OracleSolution:
 
 
 def waterfill(network: Network) -> OracleSolution:
-    """Classic max-min water-filling by repeated full scans.
+    """Classic max-min water-filling by repeated scans of the live links.
 
-    Each round finds the smallest headroom-per-active-flow over all links
-    and freezes every active flow on every link attaining it (ties freeze
-    together). A link that never reaches the minimum reports its saturation
-    level: leftover capacity plus its fastest flow's rate (full capacity if
-    untraversed), matching the solver's convention for non-bottlenecks.
+    Each round finds the smallest headroom-per-active-flow over the links
+    that still carry an active flow, and freezes every active flow on every
+    link attaining it (ties freeze together). Per link it keeps the
+    capacity frozen so far and the count of its active flows, so a round
+    rescans every live link once, with no heap and no structure. A link
+    that never reaches the minimum reports its saturation level: leftover
+    capacity plus its fastest flow's rate (full capacity if untraversed),
+    matching the solver's convention for non-bottlenecks.
     """
     link_ids = [l.id for l in network.links]
+    capacity = {l.id: l.capacity for l in network.links}
     rate: dict[FlowId, float] = {}
     fair: dict[LinkId, float] = {}
     order: list[LinkId] = []
     active: set[FlowId] = {f.id for f in network.flows}
     frozen_on: dict[LinkId, float] = {lid: 0.0 for lid in link_ids}
+    n_active = {lid: len(network.flows_on(lid)) for lid in link_ids}
+    live = [lid for lid in link_ids if n_active[lid]]
 
     while active:
-        best = None
-        for lid in link_ids:
-            on_link = [f for f in network.flows_on(lid) if f in active]
-            if not on_link:
-                continue
-            share = (network.link(lid).capacity - frozen_on[lid]) / len(on_link)
-            if best is None or share < best:
-                best = share
-        if best is None:
+        shares = [(capacity[lid] - frozen_on[lid]) / n_active[lid] for lid in live]
+        if not shares:
             raise RuntimeError("active flows remain but no link carries them")
-        argmin = []
-        for lid in link_ids:
-            on_link = [f for f in network.flows_on(lid) if f in active]
-            if not on_link:
-                continue
-            share = (network.link(lid).capacity - frozen_on[lid]) / len(on_link)
-            if share <= best + EPS:
-                argmin.append(lid)
+        best = min(shares)
         to_freeze: set[FlowId] = set()
-        for lid in argmin:
-            fair[lid] = best
-            order.append(lid)
-            to_freeze.update(f for f in network.flows_on(lid) if f in active)
+        for lid, share in zip(live, shares):
+            if share <= best + EPS:
+                fair[lid] = best
+                order.append(lid)
+                to_freeze.update(f for f in network.flows_on(lid) if f in active)
         for f in sorted(to_freeze):
             rate[f] = best
             active.discard(f)
             for lid in network.links_of(f):
                 frozen_on[lid] += best
+                n_active[lid] -= 1
+        live = [lid for lid in live if n_active[lid]]
 
     for lid in link_ids:
         if lid not in fair:
             rates_on = [rate[f] for f in network.flows_on(lid)]
-            headroom = network.link(lid).capacity - frozen_on[lid]
+            headroom = capacity[lid] - frozen_on[lid]
             fair[lid] = headroom + (max(rates_on) if rates_on else 0.0)
     return OracleSolution(rate=rate, fair_share=fair, saturation_order=tuple(order))
 

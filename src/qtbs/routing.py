@@ -66,11 +66,11 @@ def _prober(network: Network) -> Callable[[Sequence[LinkId]], float]:
                 # intern raises (a path cannot change that error).
                 solver.interned(network.with_flow(Flow(PROBE_FLOW_ID, ())))
             link_ids, _, caps, flow_links, link_flows = solver.interned(network)
-            rate, share, _, trav, pop_order, _, _ = solver.resolve(
-                caps, flow_links, link_flows
+            rate, share, _, _, trav_flow, trav_link, pop_order, _, _ = (
+                solver.resolve(caps, flow_links, link_flows)
             )
             step, level, _ = probe_table(
-                caps, link_flows, EPS, rate, share, trav, pop_order
+                caps, link_flows, EPS, rate, share, trav_flow, trav_link, pop_order
             )
             entry = dict(zip(link_ids, zip(step, level, range(len(link_ids)))))
         return min(map(entry.__getitem__, path))[1]

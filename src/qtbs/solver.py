@@ -51,18 +51,20 @@ class GradientGraph:
     ``f -> l`` (one per bottleneck edge), traversal ``f -> l`` (f traverses
     l but is not bottlenecked there).
 
-    The solve's edges are kept as dense index pairs into ``link_ids`` and
-    ``flow_ids``, in the order the kernel emitted them. Every other form
-    (string-keyed edges and adjacency, the integer ``index``) is built on
-    first read and kept.
+    The solve's edges are kept as the kernel emitted them, in order: two
+    parallel arrays of dense indices into ``link_ids`` and ``flow_ids`` per
+    edge kind. Every other form (string-keyed edges and adjacency, the
+    integer ``index``) is built on first read and kept.
     """
 
     link_ids: tuple[LinkId, ...]
     flow_ids: tuple[FlowId, ...]
-    # (link index, flow index) per bottleneck edge.
-    bottleneck_pairs: tuple[tuple[int, int], ...]
-    # (flow index, link index) per traversal edge.
-    traversal_pairs: tuple[tuple[int, int], ...]
+    # Bottleneck edge i runs from link bneck_link[i] to flow bneck_flow[i].
+    bneck_link: tuple[int, ...]
+    bneck_flow: tuple[int, ...]
+    # Traversal edge i runs from flow trav_flow[i] to link trav_link[i].
+    trav_flow: tuple[int, ...]
+    trav_link: tuple[int, ...]
 
     def vertices(self) -> tuple[str, ...]:
         return self.link_ids + self.flow_ids
@@ -70,12 +72,14 @@ class GradientGraph:
     @cached_property
     def bottleneck_edges(self) -> tuple[tuple[LinkId, FlowId], ...]:
         links, flows = self.link_ids, self.flow_ids
-        return tuple((links[l], flows[f]) for l, f in self.bottleneck_pairs)
+        return tuple(zip(map(links.__getitem__, self.bneck_link),
+                         map(flows.__getitem__, self.bneck_flow)))
 
     @cached_property
     def traversal_edges(self) -> tuple[tuple[FlowId, LinkId], ...]:
         links, flows = self.link_ids, self.flow_ids
-        return tuple((flows[f], links[l]) for f, l in self.traversal_pairs)
+        return tuple(zip(map(flows.__getitem__, self.trav_flow),
+                         map(links.__getitem__, self.trav_link)))
 
     @cached_property
     def index(self) -> GraphIndex:
@@ -87,7 +91,7 @@ class GradientGraph:
         # ``f + n_links`` per edge scatters the index over memory and made
         # ``forward_grad`` and ``gradient_bound`` ~8% slower at 2.5k flows.
         flow_vertex = list(range(n_links, len(ids)))
-        for l, f in self.bottleneck_pairs:
+        for l, f in zip(self.bneck_link, self.bneck_flow):
             f = flow_vertex[f]
             succ_lists[l].append(f)     # bottleneck edge
             succ_lists[f].append(l)     # backward edge
@@ -96,16 +100,16 @@ class GradientGraph:
         bottleneck_links = ((),) * n_links + tuple(
             tuple(sorted(set(e))) for e in succ_lists[n_links:]
         )
-        # The pairs come in the solve's pop order: the first pair of a tie
+        # The edges come in the solve's pop order: the first edge of a tie
         # names every link of it, reached through the flows they bottleneck.
         tie_flow: list[FlowId | None] = [None] * n_links
-        for l, f in self.bottleneck_pairs:
+        for l, f in zip(self.bneck_link, self.bneck_flow):
             stack = [l]
             while stack:
                 if tie_flow[l2 := stack.pop()] is None:
                     tie_flow[l2] = self.flow_ids[f]
                     stack += [l3 for f2 in succ_lists[l2] for l3 in succ_lists[f2]]
-        for f, l in self.traversal_pairs:
+        for f, l in zip(self.trav_flow, self.trav_link):
             succ_lists[flow_vertex[f]].append(l)
         # The structure is bipartite, so index order is id order.
         succ = tuple(tuple(sorted(set(e))) for e in succ_lists)
@@ -130,7 +134,7 @@ class GradientGraph:
     def _pred_links(self) -> Mapping[FlowId, tuple[LinkId, ...]]:
         links = self.link_ids
         pred: list[list[int]] = [[] for _ in self.flow_ids]
-        for l, f in self.bottleneck_pairs:
+        for l, f in zip(self.bneck_link, self.bneck_flow):
             pred[f].append(l)
         return {
             f: tuple(links[l] for l in sorted(set(ls)))
@@ -212,7 +216,7 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     level of the flows that traverse it without a bottleneck there (0 if
     none); a flow's is one more than its bottleneck links' highest.
 
-    One sweep over ``bottleneck_pairs``, which the kernel emits grouped by
+    One sweep over the bottleneck edges, which the kernel emits grouped by
     link in pop order: links pop in ascending fair share and every kept edge
     goes to a strictly larger value, so each group's traversal in-flows
     already have their final levels. The sweep's answer is kept only if
@@ -223,12 +227,12 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     rounding inverted, ``_levels_topological`` decides.
     """
     trav_in: list[list[int]] = [[] for _ in graph.link_ids]
-    for f, l in graph.traversal_pairs:
+    for f, l in zip(graph.trav_flow, graph.trav_link):
         trav_in[l].append(f)
     flow_level = [0] * len(graph.flow_ids)
     groups = []  # (link, the level its group used)
     prev = -1
-    for l, f in graph.bottleneck_pairs:
+    for l, f in zip(graph.bneck_link, graph.bneck_flow):
         if l != prev:
             prev = l
             ins = trav_in[l]
@@ -251,7 +255,7 @@ def _levels_topological(graph: GradientGraph) -> dict[str, int]:
     A solved structure's edges go to strictly larger values, so it is a DAG
     and the pass visits every vertex; a forward cycle raises
     ``SolverError``. Runs on the
-    dense index pairs: vertex ``i`` is a link for ``i < n_links`` and flow
+    dense index arrays: vertex ``i`` is a link for ``i < n_links`` and flow
     ``i - n_links`` otherwise.
     """
     n_links = len(graph.link_ids)
@@ -259,11 +263,11 @@ def _levels_topological(graph: GradientGraph) -> dict[str, int]:
     level = [0] * n
     indeg = [0] * n
     fwd: list[list[int]] = [[] for _ in range(n)]
-    for l, f in graph.bottleneck_pairs:
+    for l, f in zip(graph.bneck_link, graph.bneck_flow):
         f += n_links
         fwd[l].append(f)
         indeg[f] += 1
-    for f, l in graph.traversal_pairs:
+    for f, l in zip(graph.trav_flow, graph.trav_link):
         fwd[f + n_links].append(l)
         indeg[l] += 1
     stack = [v for v in range(n) if not indeg[v]]
@@ -294,8 +298,9 @@ def resolve(caps, flow_links, link_flows):
     They call ``solver.interned`` and ``solver.resolve``, the names
     ``gradient_graph`` uses, so every solve goes through one set of names.
     The kernel only reads its arguments; a kernel failure raises
-    ``SolverError``. Returns the kernel's output tuple
-    ``(rate, share, bneck, trav, pop_order, pops, updates)``.
+    ``SolverError``. Returns the kernel's output tuple ``(rate, share,
+    bneck_link, bneck_flow, trav_flow, trav_link, pop_order, pops,
+    updates)``: flat, parallel edge arrays, no tuple per edge.
     """
     try:
         return _kernel.solve(caps, flow_links, link_flows, EPS)
@@ -317,14 +322,14 @@ def gradient_graph(network: Network) -> BottleneckSolution:
     would solve to a wrong answer; see ``interned``.
     """
     link_ids, flow_ids, caps, flow_links, link_flows = interned(network)
-    rate, share, bneck, trav, pop_order, pops, updates = resolve(
+    rate, share, *edges, pop_order, pops, updates = resolve(
         caps, flow_links, link_flows
     )
     link_ids = tuple(link_ids)
     flow_ids = tuple(flow_ids)
     return BottleneckSolution(
         network=network,
-        graph=GradientGraph(link_ids, flow_ids, tuple(bneck), tuple(trav)),
+        graph=GradientGraph(link_ids, flow_ids, *map(tuple, edges)),
         fair_share=dict(zip(link_ids, share)),
         rate=dict(zip(flow_ids, rate)),
         pop_order=tuple(link_ids[l] for l in pop_order),

@@ -305,6 +305,16 @@ def test_invalid_file_fails(capsys, tmp_path):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("data", [b"\x80{}", b"[" * 200000], ids=["not-utf8", "nested-arrays"])
+def test_undecodable_or_too_deep_file_fails_cleanly(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "solve", bad, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid JSON")
+
+
 def test_outputs_deterministic(capsys):
     for fixture in sorted(FIXTURES.glob("*.json")):
         for fmt in ("json", "dot"):
@@ -386,6 +396,17 @@ def test_solve_json_keeps_integer_levels_apart_from_integral_rates(capsys, tmp_p
         _assert_solve_json(capsys, _write(tmp_path, f"caps-{seed}.json", doc))
 
 
+def test_solve_json_matches_json_dumps_on_a_tied_2k_network(capsys, tmp_path):
+    # Capacities 1 and 2 and short paths: fair shares tie across many
+    # links, so link ids order the pops and some flows have several
+    # bottlenecks.
+    doc = _random_doc(1, 1500, 2000, (1.0, 2.0), max_path_len=3)
+    out = _assert_solve_json(capsys, _write(tmp_path, "tied-2k.json", doc))
+    report = json.loads(out)
+    assert len(set(report["rates"].values())) < 400
+    assert sum(len(ls) > 1 for ls in report["bottlenecks_of"].values()) > 30
+
+
 def test_solve_json_escapes_ids_and_sorts_them_raw(capsys, tmp_path):
     links = ['a"q', "a\\q", "A", "z", "\u00e9", "\x01ctl", "\u4e2d", "\U0001f600", "idle"]
     flows = ['f"1', "f\\2", "f\n3", "F", "f\u00e9", "f\U0001f600", "\x7f"]
@@ -409,8 +430,8 @@ def test_solve_json_lists_bottlenecks_in_id_order(capsys, tmp_path):
         "flows": [{"id": "f1", "links": ["a", "b"]}],
     }
     path = _write(tmp_path, "near-tie.json", doc)
-    assert gradient_graph(parse_network(path.read_bytes())).graph.bottleneck_pairs == (
-        (1, 0), (0, 0))
+    graph = gradient_graph(parse_network(path.read_bytes())).graph
+    assert (graph.bneck_link, graph.bneck_flow) == ((1, 0), (0, 0))
     _assert_solve_json(capsys, path)
 
 

@@ -1,9 +1,10 @@
 """The lazy-heap kernel against an eager-heap reference, and its probe table.
 
 ``_eager_solve`` is the kernel as it was before the heap became lazy: it
-pushes one heap entry for every fair-share update and skips entries whose
-key no longer matches. The lazy kernel must return exactly the same tuple:
-rates, shares, edges in emission order, pop order and both counters. The
+pushes one heap entry for every fair-share update, skips entries whose
+key no longer matches and counts each update as it makes it. The lazy
+kernel must return exactly the same tuple: rates, shares, the four edge
+arrays in emission order, pop order and both counters. The
 probe table must give a probe's rate in a solve of the probed network. The
 kernel raises when a flow cannot resolve.
 """
@@ -36,8 +37,8 @@ def _eager_solve(caps, flow_links, link_flows, eps):
     heap = [(share[l], l) for l in range(n_links) if not dead[l]]
     heapq.heapify(heap)
 
-    bneck_edges = []
-    trav_edges = []
+    bneck_link, bneck_flow = [], []
+    trav_flow, trav_link = [], []
     pop_order = []
     pops = 0
     updates = 0
@@ -63,7 +64,8 @@ def _eager_solve(caps, flow_links, link_flows, eps):
         for f in link_flows[l]:
             if rate[f] < s_l - eps:
                 continue
-            bneck_edges.append((l, f))
+            bneck_link.append(l)
+            bneck_flow.append(f)
             if resolved[f]:
                 continue
             rate[f] = s_l
@@ -73,7 +75,8 @@ def _eager_solve(caps, flow_links, link_flows, eps):
                 if l2 == l or popped[l2] or dead[l2]:
                     continue
                 if share[l2] > s_l + eps:
-                    trav_edges.append((f, l2))
+                    trav_flow.append(f)
+                    trav_link.append(l2)
                     avail[l2] -= s_l
                     nrem[l2] -= 1
                     if nrem[l2] <= 0:
@@ -91,9 +94,11 @@ def _eager_solve(caps, flow_links, link_flows, eps):
         s_l = share[l]
         for f in link_flows[l]:
             if rate[f] >= s_l - eps:
-                bneck_edges.append((l, f))
+                bneck_link.append(l)
+                bneck_flow.append(f)
 
-    return rate, share, bneck_edges, trav_edges, pop_order, pops, updates
+    return (rate, share, bneck_link, bneck_flow, trav_flow, trav_link,
+            pop_order, pops, updates)
 
 
 def _few_capacities(seed, capacities):
@@ -160,7 +165,7 @@ def test_updates_count_share_updates_not_pushes():
         (Link("a", 1.0), Link("b", 2.0), Link("c", 30.0)),
         (Flow("f1", ("a", "c")), Flow("f2", ("b", "c")), Flow("f3", ("c",))),
     )
-    rate, share, _, _, pop_order, pops, updates = _kernel.solve(
+    rate, share, _, _, _, _, pop_order, pops, updates = _kernel.solve(
         *interned(net)[2:], 1e-9
     )
     assert rate == [1.0, 2.0, 27.0]
@@ -182,7 +187,7 @@ def test_matches_eager_heap_when_rounding_lowers_a_share():
     net = _rounding_network()
     out = _kernel.solve(*interned(net)[2:], 1e-9)
     assert out[1][2] < net.links[1].capacity
-    assert out[4] == [0, 2, 1]
+    assert out[6] == [0, 2, 1]
     _assert_same(net, 1e-9)
 
 
@@ -201,7 +206,7 @@ def _rounding_network_with_shared_flow():
 def test_matches_eager_heap_when_rounding_lowers_a_shared_flows_share():
     net = _rounding_network_with_shared_flow()
     out = _kernel.solve(*interned(net)[2:], 1e-9)
-    assert out[4] == [0, 2, 1]
+    assert out[6] == [0, 2, 1]
     assert out[0][interned(net)[1].index("h")] < net.links[2].capacity / 35
     _assert_same(net, 1e-9)
 
@@ -227,11 +232,11 @@ def test_probe_table_gives_the_probed_networks_rate(eps):
     probes = frozen = 0
     for net in _rate_corpus():
         link_ids, _, caps, flow_links, link_flows = interned(net)
-        rate, share, _, trav, pop_order, _, _ = _kernel.solve(
+        rate, share, _, _, trav_flow, trav_link, pop_order, _, _ = _kernel.solve(
             caps, flow_links, link_flows, eps
         )
         step, level, skipped = _kernel.probe_table(
-            caps, link_flows, eps, rate, share, trav, pop_order
+            caps, link_flows, eps, rate, share, trav_flow, trav_link, pop_order
         )
         frozen += skipped
         n = len(link_ids)

@@ -31,6 +31,18 @@ def test_flow_path_is_always_a_tuple():
         assert type(got) is tuple and got == ("l1", "l2")
 
 
+def test_parsed_paths_hold_the_links_own_ids():
+    # Each path entry is the link's id object, not the document's copy of
+    # it, and a Flow is slotted, with no per-instance dict.
+    for path in sorted(FIXTURES.glob("*.json")):
+        net = parse_network(path.read_bytes())
+        ids = {l.id: l.id for l in net.links}
+        for flow in net.flows:
+            assert not hasattr(flow, "__dict__")
+            assert all(lid is ids[lid] for lid in flow.path), (path.name, flow.id)
+    assert not hasattr(Flow("f", ("l1",)), "__dict__")
+
+
 def test_parse_minimal():
     net = parse_network('{"links":[{"id":"l1","capacity":10}],'
                         '"flows":[{"id":"f1","links":["l1"]}]}')
@@ -309,6 +321,12 @@ _F1 = {"id": "f1", "links": ["l1"]}
      "flow 'f1' references unknown link 'l2'"),
     ({"links": [_L1], "flows": [{"id": "f1", "links": ["l2", "l2"], "y": 0}]},
      NetworkFormatError, "unknown flow fields: ['y']"),
+    # Bytes that are not UTF-8, and arrays nested past the recursion limit.
+    pytest.param(b"\x80{}", NetworkFormatError, "invalid JSON: 'utf-8' codec can't "
+                 "decode byte 0x80 in position 0: invalid start byte", id="not-utf8"),
+    pytest.param("[" * 200000, NetworkFormatError, "invalid JSON: maximum recursion "
+                 "depth exceeded while decoding a JSON array from a unicode string",
+                 id="nested-arrays"),
 ])
 def test_parse_error_type_and_message(doc, error, message):
     with pytest.raises(error) as info:

@@ -1,6 +1,8 @@
 import pytest
 
+from conftest import FIXTURES, load
 from qtbs import (
+    EPS,
     Flow,
     Link,
     Network,
@@ -13,6 +15,7 @@ from qtbs import (
     validate,
     waterfill,
 )
+from qtbs.oracle import OracleSolution
 
 
 def test_single_link():
@@ -125,3 +128,75 @@ def test_fd_matches_forward_grad_on_seeds():
             for v, got in fd.items():
                 want = res.flow_gradient.get(v, res.link_gradient.get(v))
                 assert got == pytest.approx(want, abs=1e-6), (seed, target, direction, v)
+
+
+def _reference_waterfill(network):
+    """``waterfill`` as it was before it kept per-link counts: every round
+    rescans every flow of every link, twice."""
+    link_ids = [l.id for l in network.links]
+    rate = {}
+    fair = {}
+    order = []
+    active = {f.id for f in network.flows}
+    frozen_on = {lid: 0.0 for lid in link_ids}
+
+    while active:
+        best = None
+        for lid in link_ids:
+            on_link = [f for f in network.flows_on(lid) if f in active]
+            if not on_link:
+                continue
+            share = (network.link(lid).capacity - frozen_on[lid]) / len(on_link)
+            if best is None or share < best:
+                best = share
+        if best is None:
+            raise RuntimeError("active flows remain but no link carries them")
+        argmin = []
+        for lid in link_ids:
+            on_link = [f for f in network.flows_on(lid) if f in active]
+            if not on_link:
+                continue
+            share = (network.link(lid).capacity - frozen_on[lid]) / len(on_link)
+            if share <= best + EPS:
+                argmin.append(lid)
+        to_freeze = set()
+        for lid in argmin:
+            fair[lid] = best
+            order.append(lid)
+            to_freeze.update(f for f in network.flows_on(lid) if f in active)
+        for f in sorted(to_freeze):
+            rate[f] = best
+            active.discard(f)
+            for lid in network.links_of(f):
+                frozen_on[lid] += best
+
+    for lid in link_ids:
+        if lid not in fair:
+            rates_on = [rate[f] for f in network.flows_on(lid)]
+            headroom = network.link(lid).capacity - frozen_on[lid]
+            fair[lid] = headroom + (max(rates_on) if rates_on else 0.0)
+    return OracleSolution(rate=rate, fair_share=fair, saturation_order=tuple(order))
+
+
+def _alternate_capacities(net):
+    """``net`` with capacities 1 and 2 alternately: fair shares tie."""
+    links = tuple(Link(l.id, (1.0, 2.0)[i % 2]) for i, l in enumerate(net.links))
+    return Network(links, net.flows)
+
+
+def test_waterfill_equals_the_full_rescan_bit_for_bit():
+    nets = [load(path.name) for path in sorted(FIXTURES.glob("*.json"))]
+    nets += [random_network(seed, 12, 24, 5) for seed in range(60)]
+    nets += [_alternate_capacities(random_network(5000 + seed, 10, 18, 5))
+             for seed in range(100)]
+    nets.append(_alternate_capacities(random_network(40, 150, 2200, 6)))
+    assert len(nets[-1].flows) == 2147
+    for i, net in enumerate(nets):
+        assert repr(waterfill(net)) == repr(_reference_waterfill(net)), i
+
+
+def test_waterfill_raises_for_a_flow_on_no_link():
+    net = Network((Link("l1", 2.0),), (Flow("f1", ("l1",)), Flow("f2", ())))
+    for solve in (waterfill, _reference_waterfill):
+        with pytest.raises(RuntimeError, match="no link carries them"):
+            solve(net)

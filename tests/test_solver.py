@@ -216,8 +216,8 @@ def _eager_views(sol):
     """The string-keyed structure as it was built eagerly in every solve."""
     graph, net = sol.graph, sol.network
     ids = [l.id for l in net.links], [f.id for f in net.flows]
-    bneck = tuple((ids[0][l], ids[1][f]) for l, f in graph.bottleneck_pairs)
-    trav = tuple((ids[1][f], ids[0][l]) for f, l in graph.traversal_pairs)
+    bneck = tuple((ids[0][l], ids[1][f]) for l, f in zip(graph.bneck_link, graph.bneck_flow))
+    trav = tuple((ids[1][f], ids[0][l]) for f, l in zip(graph.trav_flow, graph.trav_link))
     succ = {v: [] for v in ids[0] + ids[1]}
     pred = {f: [] for f in ids[1]}
     for l, f in bneck:
@@ -278,7 +278,7 @@ def test_integer_levels_match_string_reference():
 
 
 def test_levels_reject_a_forward_cycle():
-    cyclic = GradientGraph(("l1",), ("f1",), ((0, 0),), ((0, 0),))
+    cyclic = GradientGraph(("l1",), ("f1",), (0,), (0,), (0,), (0,))
     with pytest.raises(SolverError):
         _levels(cyclic)
 
@@ -307,8 +307,8 @@ def test_levels_sweep_equals_topological_pass(eps, fallbacks):
         nets += [_few_capacities(seed, capacities) for seed in range(60)]
     for net in nets:
         link_ids, flow_ids, *arrays = interned(net)
-        _, _, bneck, trav, *_ = _kernel.solve(*arrays, eps)
-        graph = GradientGraph(tuple(link_ids), tuple(flow_ids), tuple(bneck), tuple(trav))
+        _, _, *edges, _, _, _ = _kernel.solve(*arrays, eps)
+        graph = GradientGraph(tuple(link_ids), tuple(flow_ids), *map(tuple, edges))
         got = _levels(graph)
         assert got == _levels_topological(graph)
         assert list(got) == list(graph.vertices())
@@ -320,7 +320,7 @@ def test_levels_sweep_with_a_link_in_two_groups(fallbacks):
     # a -> f, b -> g, a -> h as bottleneck edges (a appears twice); f -> b
     # as a traversal edge.
     graph = GradientGraph(("a", "b"), ("f", "g", "h"),
-                          ((0, 0), (1, 1), (0, 2)), ((0, 1),))
+                          (0, 1, 0), (0, 1, 2), (0,), (1,))
     expected = {"a": 0, "b": 2, "f": 1, "g": 3, "h": 1}
     assert _levels(graph) == expected == _levels_topological(graph)
     assert fallbacks == []
@@ -329,6 +329,6 @@ def test_levels_sweep_with_a_link_in_two_groups(fallbacks):
 def test_levels_fall_back_when_a_group_comes_too_early(fallbacks):
     # b's group comes before f's, yet f traverses b: the sweep reads f's
     # level before it is final, and the recomputed level of b differs.
-    graph = GradientGraph(("a", "b"), ("f", "g"), ((1, 1), (0, 0)), ((0, 1),))
+    graph = GradientGraph(("a", "b"), ("f", "g"), (1, 0), (1, 0), (0,), (1,))
     assert _levels(graph) == {"a": 0, "b": 2, "f": 1, "g": 3}
     assert fallbacks == [graph]
