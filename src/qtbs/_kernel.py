@@ -16,7 +16,8 @@ def solve(caps, flow_links, link_flows, eps):
     """Run the fair-share refinement loop on an interned network.
 
     caps:       list of link capacities
-    flow_links: per flow, sorted list of traversed link indices
+    flow_links: per flow, list of traversed link indices, in any order
+                (``interned`` gives path order)
     link_flows: per link, sorted list of traversing flow indices
     eps:        absolute tolerance for rate/fair-share ties
 
@@ -45,6 +46,12 @@ def solve(caps, flow_links, link_flows, eps):
     lower a share by an ulp; the link is then pushed below its old entry.)
     Every live link keeps an entry no larger than its share, so links pop
     in ascending (share, link) order, exactly as with one push per update.
+
+    The order inside ``flow_links[f]`` changes only the order of ``f``'s
+    traversal edges, which are emitted together: a resolved flow's updates
+    to distinct links are independent, each link's updates follow
+    ``link_flows``, and the heap pops by the total (share, link) order.
+    Every other output is the same for any order.
     """
     n_links = len(caps)
     n_flows = len(flow_links)

@@ -56,11 +56,13 @@ def _load(path: str) -> Network:
         raise QtbsError(f"cannot read {path}: {exc}")
 
 
-def _report(command: str, net: Network, payload: dict) -> dict:
+def _report(command: str, links, flows, payload: dict) -> dict:
+    """A JSON report; ``links`` and ``flows`` are counted for its
+    ``network`` section."""
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "network": {"links": len(net.links), "flows": len(net.flows)},
+        "network": {"links": len(links), "flows": len(flows)},
         **payload,
     }
 
@@ -89,7 +91,7 @@ def _numbers(values) -> dict:
     return {v: json.dumps(v) for v in set(values)}
 
 
-def _solve_json(net: Network, sol: BottleneckSolution) -> str:
+def _solve_json(sol: BottleneckSolution) -> str:
     """The ``solve`` report, equal to ``json.dumps(report, indent=2,
     sort_keys=True)`` of the report ``_report`` would build.
 
@@ -144,8 +146,8 @@ def _solve_json(net: Network, sol: BottleneckSolution) -> str:
         f'  "jain_index": {json.dumps(jain)},\n'
         f'  "levels": {level_block},\n'
         '  "network": {\n'
-        f'    "flows": {len(net.flows)},\n'
-        f'    "links": {len(net.links)}\n'
+        f'    "flows": {len(fkey)},\n'
+        f'    "links": {len(lkey)}\n'
         "  },\n"
         f'  "rates": {rate_block},\n'
         f'  "schema": {SCHEMA_VERSION}\n'
@@ -160,11 +162,13 @@ def cmd_solve(args) -> int:
         sys.stdout.write(dot_graph(sol, backward_edges=args.backward_edges))
         return 0
     if args.format == "json":
-        print(_solve_json(net, sol))
+        print(_solve_json(sol))
         return 0
+    # Flows are counted from the solve: reading ``net.flows`` would build
+    # a parsed network's ``Flow`` records.
     rates = dict(sorted(sol.rate.items()))
     shares = dict(sorted(sol.fair_share.items()))
-    print(f"network: {len(net.links)} links, {len(net.flows)} flows")
+    print(f"network: {len(net.links)} links, {len(rates)} flows")
     print("\nflow rates:")
     for f, r in rates.items():
         bnecks = ",".join(sol.bottlenecks_of[f])
@@ -194,7 +198,7 @@ def cmd_grad(args) -> int:
         "bound": bound,
     }
     if args.format == "json":
-        _print_json(_report("grad", net, payload))
+        _print_json(_report("grad", sol.graph.link_ids, sol.graph.flow_ids, payload))
         return 0
     print(f"gradients w.r.t. {args.target} ({args.direction}); "
           f"values are d(rate or fair share)/d(target)")
@@ -228,7 +232,7 @@ def cmd_route(args) -> int:
         "min_hop_rate": hop_rate,
     }
     if args.format == "json":
-        _print_json(_report("route", net, payload))
+        _print_json(_report("route", net.links, net.flows, payload))
         return 0
     print(f"max-rate path {args.src} -> {args.dst}:")
     print(f"  path: {' -> '.join(route.links)}")
@@ -264,7 +268,7 @@ def cmd_shape(args) -> int:
         "jain_index": jain_index(final.rate.values()),
     }
     if args.format == "json":
-        _print_json(_report("shape", net, payload))
+        _print_json(_report("shape", net.links, net.flows, payload))
         return 0
     print(f"shaping plan to accelerate {plan.target} "
           f"(floor {_fmt(plan.floor_rate)}):")
@@ -294,7 +298,7 @@ def cmd_taper(args) -> int:
         "method": report.method,
     }
     if args.format == "json":
-        _print_json(_report("taper", net, payload))
+        _print_json(_report("taper", net.links, net.flows, payload))
         return 0
     print(f"tapering {','.join(report.scaled_links)} "
           f"(leaf capacity {_fmt(report.leaf_capacity)}, tau0 {args.tau0}):")

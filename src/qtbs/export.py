@@ -24,10 +24,10 @@ def dot_graph(solution: BottleneckSolution, backward_edges: bool = False) -> str
     for l in net.links:
         label = f'"{_esc(l.id)}\\nc={l.capacity:.3f} s={solution.fair_share[l.id]:.3f}"'
         lines.append(f"  {_q(l.id)} [shape=box, label={label}];")
-    for f in net.flows:
-        label = f'"{_esc(f.id)}\\nr={solution.rate[f.id]:.3f}"'
+    for f in solution.graph.flow_ids:  # ascending, as ``net.flows``
+        label = f'"{_esc(f)}\\nr={solution.rate[f]:.3f}"'
         lines.append(
-            f"  {_q(f.id)} [shape=ellipse, style=filled, fillcolor=gray, "
+            f"  {_q(f)} [shape=ellipse, style=filled, fillcolor=gray, "
             f"label={label}];"
         )
     for l, f in sorted(solution.graph.bottleneck_edges):

@@ -53,9 +53,9 @@ class Link:
 class Flow:
     """A flow and the ordered list of links it traverses.
 
-    Slotted, with no per-instance dict: a 10k-flow document makes 10k of
-    them. ``path`` is always a tuple; ``parse_network`` fills it with the
-    links' own id strings.
+    Slotted, with no per-instance dict: reading the flows of a 10k-flow
+    document makes 10k of them. ``path`` is always a tuple, and never made
+    from a ``str``; a parsed network fills it with the links' own id strings.
     """
 
     id: FlowId
@@ -63,6 +63,8 @@ class Flow:
 
     def __init__(self, id: FlowId, path: Iterable[LinkId]):
         object.__setattr__(self, "id", id)
+        if isinstance(path, str):  # it would split into one-letter link ids
+            raise NetworkFormatError(f"flow {id!r}: path must be a sequence of link ids")
         # ``parse_network`` and derived networks already pass a tuple.
         object.__setattr__(self, "path", path if type(path) is tuple else tuple(path))
 
@@ -85,6 +87,12 @@ class Network:
 
     Construction is permissive so that ``validate`` can report problems as
     data; ``parse_network`` is the strict entry point for documents.
+
+    A network that ``parse_network`` built holds its flows only as the
+    interned arrays until ``flows`` is first read; that read builds the
+    ``Flow`` records, in id order, and keeps them. Equality, hash and repr
+    read ``flows``, so they are those of the same network built through
+    the library.
     """
 
     links: tuple[Link, ...]
@@ -100,6 +108,17 @@ class Network:
         object.__setattr__(self, "links", tuple(sorted(self.links, key=by_id)))
         object.__setattr__(self, "flows", tuple(sorted(self.flows, key=by_id)))
         object.__setattr__(self, "routers", tuple(sorted(set(self.routers))))
+
+    def __getattr__(self, name):
+        # Called only for a missing attribute: ``flows`` of a parsed
+        # network before its first read.
+        if name != "flows" or self._arrays is None:
+            raise AttributeError(f"'Network' object has no attribute {name!r}")
+        link_ids, flow_ids, _, flow_links, _ = self._arrays
+        flows = tuple(Flow(fid, tuple(map(link_ids.__getitem__, ls)))
+                      for fid, ls in zip(flow_ids, flow_links))
+        object.__setattr__(self, "flows", flows)
+        return flows
 
     # The id maps and ``_flows_on`` are built on first use: solves read
     # none of them.
@@ -186,6 +205,11 @@ def parse_network(document: str | bytes | dict) -> Network:
     are rejected, as are duplicate ids, unknown links in flow paths,
     non-positive or non-finite capacities, and reserved identifiers. Error
     messages are formatted only when a check fails.
+
+    The network keeps the arrays ``interned`` returns, made while the
+    document is checked: each flow's link indices in path order. Its
+    ``Flow`` records are built from them on the first read of ``flows``,
+    which a solve never makes.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -249,7 +273,7 @@ def parse_network(document: str | bytes | dict) -> Network:
     link_ids = [l.id for l in links]
     index = dict(zip(link_ids, range(len(link_ids))))
 
-    flows: list[Flow] = []
+    flow_ids: list[str] = []
     flow_links: list[list[int]] = []
     seen_flows: set[str] = set()
     if not isinstance(doc["flows"], list):
@@ -290,27 +314,23 @@ def parse_network(document: str | bytes | dict) -> Network:
             for lid in path:
                 if lid not in seen_links:
                     raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}")
-        # The path holds the links' own id strings, read back through the
-        # indices, so the document's copies die with it.
-        flows.append(Flow(fid, tuple(map(link_ids.__getitem__, ls))))
-        ls.sort()
+        flow_ids.append(fid)
         flow_links.append(ls)
 
     # Flows in id order, as ``Network`` keeps them, and each link's flows.
-    flow_ids = [f.id for f in flows]
-    order = sorted(range(len(flows)), key=flow_ids.__getitem__)
+    order = sorted(range(len(flow_ids)), key=flow_ids.__getitem__)
     flow_ids = list(map(flow_ids.__getitem__, order))
-    flows = list(map(flows.__getitem__, order))
     flow_links = list(map(flow_links.__getitem__, order))
     link_flows: list[list[int]] = [[] for _ in link_ids]
     for fi, ls in enumerate(flow_links):
         for li in ls:
             link_flows[li].append(fi)
-    network = Network(tuple(links), tuple(flows), tuple(routers))
+    # Links and routers are already in id order, so ``__post_init__``'s
+    # re-sort is skipped; ``flows`` is built on first read.
+    network = Network.__new__(Network)
     caps = [l.capacity for l in links]
-    object.__setattr__(
-        network, "_arrays", (link_ids, flow_ids, caps, flow_links, link_flows)
-    )
+    vars(network).update(links=tuple(links), routers=tuple(sorted(routers)),
+                         _arrays=(link_ids, flow_ids, caps, flow_links, link_flows))
     return network
 
 
@@ -374,7 +394,9 @@ def interned(network: Network):
     """Dense index view used by the solve kernel.
 
     Returns (link_ids, flow_ids, caps, flow_links, link_flows) where ids are
-    sorted ascending and adjacency lists hold sorted dense indices.
+    sorted ascending, ``flow_links[f]`` holds flow ``f``'s link indices in
+    path order (not sorted: the kernel's output does not depend on their
+    order) and ``link_flows[l]`` the ascending indices of link ``l``'s flows.
 
     The five outer lists are fresh on every call, but the inner lists of
     ``flow_links`` and ``link_flows`` may be shared with the network and with
@@ -388,7 +410,8 @@ def interned(network: Network):
     also rejects, with a typed error, every network the kernel would solve to
     a silently wrong answer: duplicate link or flow ids (a flow id equal to a
     link id included), a capacity that is not finite and strictly positive,
-    an empty path, a repeated link in a path, and a link that does not exist.
+    an empty path, a repeated link in a path, a path entry that is not
+    hashable, and a link that does not exist.
     """
     if network._arrays is not None:
         return tuple(a.copy() for a in network._arrays)
@@ -402,12 +425,15 @@ def interned(network: Network):
     caps = [l.capacity for l in network.links]
     for lid, cap in zip(link_ids, caps):
         check_capacity(lid, cap)
+    flow_links = []
     try:
-        flow_links = [sorted([lidx[lid] for lid in f.path]) for f in network.flows]
+        for f in network.flows:  # a failure leaves ``f`` at the failing flow
+            flow_links.append([lidx[lid] for lid in f.path])
     except KeyError:
-        fid, lid = next((f.id, lid) for f in network.flows for lid in f.path
-                        if lid not in lidx)
-        raise UnknownLinkError(f"flow {fid!r} references unknown link {lid!r}") from None
+        lid = next(lid for lid in f.path if lid not in lidx)
+        raise UnknownLinkError(f"flow {f.id!r} references unknown link {lid!r}") from None
+    except TypeError:  # an unhashable entry, which no link id is
+        raise NetworkFormatError(f"flow {f.id!r}: 'links' must contain link ids") from None
     for fid, path in zip(flow_ids, flow_links):
         if len(set(path)) != len(path) or not path:
             problem = "repeated link in path" if path else "empty path"

@@ -547,3 +547,23 @@ def test_library_solve_leaves_gc_alone(gc_state, kernel_gc, enabled):
     gradient_graph(parse_network((FIXTURES / "b4.json").read_text()))
     assert gc.isenabled() is enabled
     assert kernel_gc == [enabled]
+
+
+def test_solve_export_and_grad_build_no_flow_records(capsys, monkeypatch):
+    parsed = []
+
+    def parse(document):
+        parsed.append(parse_network(document))
+        return parsed[-1]
+
+    monkeypatch.setattr(qtbs.cli, "parse_network", parse)
+    path = FIXTURES / "b4.json"
+    commands = [("solve", path, "--format", fmt) for fmt in ("json", "table", "dot")]
+    commands += [("export", path)]
+    commands += [("grad", path, "--target", "l3", "--format", fmt) for fmt in ("json", "table")]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+        assert "flows" not in vars(parsed[-1]), argv
+    report = json.loads(run(capsys, "grad", path, "--target", "l3", "--format", "json")[1])
+    assert report["network"] == {"links": 28, "flows": 48}

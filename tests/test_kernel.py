@@ -6,19 +6,23 @@ key no longer matches and counts each update as it makes it. The lazy
 kernel must return exactly the same tuple: rates, shares, the four edge
 arrays in emission order, pop order and both counters. The
 probe table must give a probe's rate in a solve of the probed network. The
-kernel raises when a flow cannot resolve.
+kernel raises when a flow cannot resolve. The order of each flow's link
+list moves only the order of its traversal edges.
 """
 import heapq
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtbs import (
     PROBE_FLOW_ID, Flow, Link, Network, SolverError, _kernel, random_network,
 )
 from qtbs.model import interned
 from qtbs.solver import resolve
+
+from conftest import FIXTURES, load
 
 _INF = float("inf")
 
@@ -263,3 +267,45 @@ def test_flow_on_no_link_raises(arrays):
         _kernel.solve(*arrays, 1e-9)
     with pytest.raises(SolverError, match="^no live link left while flows remain unresolved$"):
         resolve(*arrays)
+
+
+# -- the order inside each flow's link list -----------------------------------
+
+def _assert_path_order_ignored(net, rng, eps=1e-9):
+    """With every flow's link list shuffled, the kernel's output is bit for
+    bit the same, but for the order of each flow's traversal edges inside
+    its group; the probe table is the same. Returns whether that order
+    moved."""
+    _, _, caps, flow_links, link_flows = interned(net)
+    shuffled = [rng.sample(ls, len(ls)) for ls in flow_links]
+    base = _kernel.solve(caps, flow_links, link_flows, eps)
+    out = _kernel.solve(caps, shuffled, link_flows, eps)
+    assert out[:5] == base[:5]  # rate, share, bottleneck edges, trav_flow
+    assert out[6:] == base[6:]  # pop_order, pops, updates
+    for f in set(base[4]):
+        assert ({l for g, l in zip(out[4], out[5]) if g == f}
+                == {l for g, l in zip(base[4], base[5]) if g == f})
+    tables = [
+        _kernel.probe_table(caps, link_flows, eps, o[0], o[1], o[4], o[5], o[6])
+        for o in (base, out)
+    ]
+    assert tables[0] == tables[1]
+    return out[5] != base[5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(EPSILONS), st.randoms(use_true_random=False))
+def test_kernel_ignores_path_order_on_random_networks(seed, eps, rng):
+    net = random_network(seed, max_links=14, max_flows=40, max_path_len=6)
+    _assert_path_order_ignored(net, rng, eps)
+
+
+def test_kernel_ignores_path_order_on_fixtures_and_tied_corpus():
+    from test_gradients import _tied_corpus
+
+    rng = random.Random(3)
+    nets = [load(path.name) for path in sorted(FIXTURES.glob("*.json"))]
+    nets += [net for _, net in _tied_corpus()]
+    nets += [_tie_network(), _rounding_network(), _rounding_network_with_shared_flow()]
+    moved = sum(_assert_path_order_ignored(net, rng) for net in nets for _ in range(3))
+    assert moved > 100  # the shuffles reorder traversal edges

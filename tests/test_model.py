@@ -1,5 +1,7 @@
+import copy
 import inspect
 import json
+import pickle
 import re
 
 import pytest
@@ -446,3 +448,59 @@ def test_parse_fallback_keeps_first_failing_check():
         with pytest.raises(error) as info:
             parse_network(doc)
         assert type(info.value) is error and str(info.value) == message
+
+
+# -- Flow records of a parsed network, built on first read --------------------
+
+def test_parsed_flows_are_built_on_first_read():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        net = parse_network(doc)
+        assert "flows" not in vars(net)
+        gradient_graph(net)
+        assert "flows" not in vars(net)  # a solve reads the arrays only
+        twin = _library_twin(doc)
+        assert net.flows is net.flows and "flows" in vars(net)
+        assert net.flows == twin.flows
+        assert net == twin and hash(net) == hash(twin) and repr(net) == repr(twin)
+
+
+def test_parsed_network_copies_and_pickles():
+    doc = json.loads((FIXTURES / "b4.json").read_text())
+    twin = _library_twin(doc)
+    for read_first in (False, True):
+        net = parse_network(doc)
+        if read_first:
+            net.flows
+        for clone in (copy.copy(net), copy.deepcopy(net),
+                      pickle.loads(pickle.dumps(net))):
+            assert clone == twin and hash(clone) == hash(twin)
+            assert repr(clone) == repr(twin)
+            assert interned(clone) == interned(net)
+
+
+def test_network_attribute_misses_still_raise():
+    parsed = parse_network((FIXTURES / "b4.json").read_bytes())
+    library = Network((Link("l", 1.0),), (Flow("f", ("l",)),))
+    for net in (parsed, library):
+        assert not hasattr(net, "nope")
+        with pytest.raises(AttributeError, match="nope"):
+            net.nope
+    assert "flows" in vars(library)
+    assert "flows" in vars(library.with_flow(Flow("g", ("l",))))
+    assert "flows" in vars(parsed.with_capacity(parsed.links[0].id, 2.0))
+
+
+def test_flow_refuses_a_string_path():
+    # A string would split into one-letter link ids: "l1" into ("l", "1").
+    with pytest.raises(NetworkFormatError, match="^flow 'f': path must be"):
+        Flow("f", "l1")
+
+
+def test_unhashable_path_entry_is_a_format_error():
+    links = (Link("l1", 1.0), Link("l2", 1.0))
+    net = Network(links, (Flow("e", ("l2",)), Flow("f", (["l1"],)), Flow("g", ({},))))
+    with pytest.raises(NetworkFormatError) as info:
+        gradient_graph(net)
+    assert type(info.value) is NetworkFormatError
+    assert str(info.value) == "flow 'f': 'links' must contain link ids"
