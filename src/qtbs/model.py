@@ -86,7 +86,9 @@ class Network:
     """Immutable network: links with capacities plus flows with paths.
 
     Construction is permissive so that ``validate`` can report problems as
-    data; ``parse_network`` is the strict entry point for documents.
+    data; ``parse_network`` is the strict entry point for documents. Only a
+    link, flow or router id that is not a ``str`` is refused here, with a
+    ``NetworkFormatError``: no id of another type is solved correctly.
 
     A network that ``parse_network`` built holds its flows only as the
     interned arrays until ``flows`` is first read; that read builds the
@@ -105,9 +107,17 @@ class Network:
 
     def __post_init__(self):
         by_id = attrgetter("id")
-        object.__setattr__(self, "links", tuple(sorted(self.links, key=by_id)))
-        object.__setattr__(self, "flows", tuple(sorted(self.flows, key=by_id)))
-        object.__setattr__(self, "routers", tuple(sorted(set(self.routers))))
+        links, flows, routers = tuple(self.links), tuple(self.flows), tuple(self.routers)
+        # Ids are checked before the sort, which a mix of types would break.
+        bad = next(((kind, i) for kind, ids in (("link", map(by_id, links)),
+                                                ("flow", map(by_id, flows)),
+                                                ("router", routers))
+                    for i in ids if not isinstance(i, str)), None)
+        if bad is not None:
+            raise NetworkFormatError("%s requires a string 'id', got %r" % bad)
+        object.__setattr__(self, "links", tuple(sorted(links, key=by_id)))
+        object.__setattr__(self, "flows", tuple(sorted(flows, key=by_id)))
+        object.__setattr__(self, "routers", tuple(sorted(set(routers))))
 
     def __getattr__(self, name):
         # Called only for a missing attribute: ``flows`` of a parsed

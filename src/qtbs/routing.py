@@ -86,6 +86,8 @@ def rate_if_routed(network: Network, path: Sequence[LinkId]) -> float:
     read from one solve of the network itself and its per-link probe table
     (see ``_prober``).
     """
+    if not all(isinstance(lid, str) for lid in path):
+        raise NetworkFormatError("probe path must contain link ids")
     if not path:
         raise NetworkFormatError("probe path must be non-empty")
     if len(set(path)) != len(path):

@@ -186,11 +186,16 @@ class BottleneckSolution:
 
     @cached_property
     def level(self) -> Mapping[str, int]:
-        """Topological level of each vertex.
+        """Longest-path depth of each vertex, links first, then flows.
 
         Level 0 links have no incoming traversal edges; levels increase
-        along bottleneck and traversal edges. Flows at lower levels are
-        resolved earlier and receive smaller rates.
+        along bottleneck and traversal edges, and backward edges are
+        ignored. Flows at lower levels are resolved earlier and receive
+        smaller rates. ``_levels`` computes it in one sweep over the
+        solve's bottleneck edges, in pop order. A hand-built
+        ``GradientGraph`` may take up to one sweep per flow, and one with a
+        forward cycle raises ``SolverError``; no CLI path or workload
+        builds such a graph.
         """
         return _levels(self.graph)
 
@@ -216,20 +221,41 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     level of the flows that traverse it without a bottleneck there (0 if
     none); a flow's is one more than its bottleneck links' highest.
 
-    One sweep over the bottleneck edges, which the kernel emits grouped by
-    link in pop order: links pop in ascending fair share and every kept edge
-    goes to a strictly larger value, so each group's traversal in-flows
-    already have their final levels. The sweep's answer is kept only if
-    every group's link level equals that link's level recomputed from the
-    final flow levels: then it solves the longest-path equations, whose
-    solution is unique on a DAG (and which a cycle cannot satisfy).
-    Otherwise, as for hand-built graphs, cycles or a share order that
-    rounding inverted, ``_levels_topological`` decides.
+    ``_sweep`` runs over the bottleneck edges until it settles, that is
+    until every group's link level equals that link's level recomputed from
+    the flow levels. Levels only rise, so a settled sweep solves the
+    longest-path equations, whose solution is unique on a DAG; a forward
+    cycle has none, and raises ``SolverError``. The kernel emits the edges
+    grouped by link in pop order: links pop in ascending fair share and
+    every kept edge goes to a strictly larger value, so each group's
+    traversal in-flows already have their final levels, and the first sweep
+    settles. On a hand-built graph whose groups come in another order, the
+    number of sweeps can grow to one per flow; no CLI path or workload
+    builds such a graph.
     """
     trav_in: list[list[int]] = [[] for _ in graph.link_ids]
     for f, l in zip(graph.trav_flow, graph.trav_link):
         trav_in[l].append(f)
     flow_level = [0] * len(graph.flow_ids)
+    # A flow's level is final once the flows before it on its longest path
+    # are, so a DAG settles within one sweep per flow.
+    for _ in range(max(len(flow_level), 1)):
+        link_level = _sweep(graph, trav_in, flow_level)
+        if link_level is not None:
+            return dict(zip(graph.vertices(), link_level + flow_level))
+    raise SolverError("bottleneck structure contains a forward cycle")
+
+
+def _sweep(
+    graph: GradientGraph, trav_in: list[list[int]], flow_level: list[int]
+) -> list[int] | None:
+    """One pass of ``_levels`` over the bottleneck edges, in edge order.
+
+    Raises each flow in ``flow_level`` to one more than the level its
+    bottleneck link's group reads from ``trav_in``. Returns the link levels
+    recomputed from the raised flow levels if every group read its link's
+    level, else None.
+    """
     groups = []  # (link, the level its group used)
     prev = -1
     for l, f in zip(graph.bneck_link, graph.bneck_flow):
@@ -245,46 +271,8 @@ def _levels(graph: GradientGraph) -> dict[str, int]:
     ]
     for l, lv in groups:
         if link_level[l] != lv:
-            return _levels_topological(graph)
-    return dict(zip(graph.vertices(), link_level + flow_level))
-
-
-def _levels_topological(graph: GradientGraph) -> dict[str, int]:
-    """``_levels`` by an in-degree pass, for any graph.
-
-    A solved structure's edges go to strictly larger values, so it is a DAG
-    and the pass visits every vertex; a forward cycle raises
-    ``SolverError``. Runs on the
-    dense index arrays: vertex ``i`` is a link for ``i < n_links`` and flow
-    ``i - n_links`` otherwise.
-    """
-    n_links = len(graph.link_ids)
-    n = n_links + len(graph.flow_ids)
-    level = [0] * n
-    indeg = [0] * n
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    for l, f in zip(graph.bneck_link, graph.bneck_flow):
-        f += n_links
-        fwd[l].append(f)
-        indeg[f] += 1
-    for f, l in zip(graph.trav_flow, graph.trav_link):
-        fwd[f + n_links].append(l)
-        indeg[l] += 1
-    stack = [v for v in range(n) if not indeg[v]]
-    done = 0
-    while stack:
-        v = stack.pop()
-        done += 1
-        up = level[v] + 1
-        for w in fwd[v]:
-            if level[w] < up:
-                level[w] = up
-            indeg[w] -= 1
-            if not indeg[w]:
-                stack.append(w)
-    if done != n:
-        raise SolverError("bottleneck structure contains a forward cycle")
-    return dict(zip(graph.vertices(), level))
+            return None
+    return link_level
 
 
 def resolve(caps, flow_links, link_flows):

@@ -504,3 +504,20 @@ def test_unhashable_path_entry_is_a_format_error():
         gradient_graph(net)
     assert type(info.value) is NetworkFormatError
     assert str(info.value) == "flow 'f': 'links' must contain link ids"
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: Network((Link("a", 1.0), Link(1, 1.0)), ()), "link requires a string 'id', got 1"),
+    (lambda: Network((Link("a", 1.0),), (), routers=(1, "a")), "router requires a string 'id', got 1"),
+    (lambda: Network((Link(["a"], 1.0),), ()), "link requires a string 'id', got ['a']"),
+    (lambda: Network((Link("a", 1.0),), (Flow(3, ("a",)),)), "flow requires a string 'id', got 3"),
+    (lambda: Network((Link("a", 1.0),), (Flow(("x",), ("a",)),)),
+     "flow requires a string 'id', got ('x',)"),
+], ids=["mixed-link-ids", "router", "unhashable-link", "int-flow", "tuple-flow"])
+def test_library_network_refuses_a_non_string_id(build, named):
+    # Each of these used to fail with a bare TypeError (from the sort, the
+    # intern's id set or ``validate``), or, for the flow ids, to solve.
+    with pytest.raises(NetworkFormatError) as info:
+        build()
+    assert type(info.value) is NetworkFormatError
+    assert str(info.value) == named

@@ -47,6 +47,15 @@ def test_rate_if_routed_rejects_bad_paths(b4):
         rate_if_routed(b4, ["nope"])
 
 
+def test_rate_if_routed_refuses_a_path_entry_that_is_not_an_id(b4):
+    # An unhashable entry used to raise a bare TypeError from ``set(path)``.
+    for path in ([["l1"]], [["l1"], "l1"], ["l15", 3]):
+        with pytest.raises(NetworkFormatError) as info:
+            rate_if_routed(b4, path)
+        assert type(info.value) is NetworkFormatError
+        assert str(info.value) == "probe path must contain link ids"
+
+
 def test_b4_probe_rates(b4):
     assert rate_if_routed(b4, ["l15", "l10"]) == pytest.approx(10.0 / 7.0, abs=1e-9)
     assert rate_if_routed(b4, ["l16", "l8", "l19"]) == pytest.approx(2.5, abs=1e-9)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FIXTURES, load
 from qtbs import (
@@ -17,7 +18,7 @@ from qtbs import (
 import qtbs.solver
 from qtbs import _kernel
 from qtbs.model import interned
-from qtbs.solver import _levels, _levels_topological
+from qtbs.solver import _levels
 from test_kernel import _few_capacities
 
 TOP_FLOWS = ["f1", "f2", "f3", "f4", "f5", "f7", "f8", "f10", "f13", "f14", "f15", "f16"]
@@ -283,23 +284,24 @@ def test_levels_reject_a_forward_cycle():
         _levels(cyclic)
 
 
-# -- levels from one sweep over the kernel's bottleneck groups ----------------
+# -- levels from sweeps over the kernel's bottleneck groups --------------------
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Graphs for which ``_levels`` fell back to the topological pass."""
+def sweeps(monkeypatch):
+    """The graph of every ``_sweep`` call, in call order."""
     seen = []
+    sweep = qtbs.solver._sweep
 
-    def recording(graph):
+    def recording(graph, *args):
         seen.append(graph)
-        return _levels_topological(graph)
+        return sweep(graph, *args)
 
-    monkeypatch.setattr(qtbs.solver, "_levels_topological", recording)
+    monkeypatch.setattr(qtbs.solver, "_sweep", recording)
     return seen
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
-def test_levels_sweep_equals_topological_pass(eps, fallbacks):
+def test_levels_sweep_equals_topological_pass(eps, sweeps):
     nets = [load(path.name) for path in sorted(FIXTURES.glob("*.json"))]
     nets += [random_network(seed, max_links=14, max_flows=40, max_path_len=5)
              for seed in range(150)]
@@ -310,25 +312,103 @@ def test_levels_sweep_equals_topological_pass(eps, fallbacks):
         _, _, *edges, _, _, _ = _kernel.solve(*arrays, eps)
         graph = GradientGraph(tuple(link_ids), tuple(flow_ids), *map(tuple, edges))
         got = _levels(graph)
-        assert got == _levels_topological(graph)
+        assert got == _reference_levels(graph)
         assert list(got) == list(graph.vertices())
-    # The kernel's pop order always made the sweep's answer consistent.
-    assert fallbacks == []
+        # The kernel's pop order makes the first sweep final.
+        assert sweeps == [graph]
+        sweeps.clear()
 
 
-def test_levels_sweep_with_a_link_in_two_groups(fallbacks):
+def test_levels_sweep_with_a_link_in_two_groups(sweeps):
     # a -> f, b -> g, a -> h as bottleneck edges (a appears twice); f -> b
     # as a traversal edge.
     graph = GradientGraph(("a", "b"), ("f", "g", "h"),
                           (0, 1, 0), (0, 1, 2), (0,), (1,))
     expected = {"a": 0, "b": 2, "f": 1, "g": 3, "h": 1}
-    assert _levels(graph) == expected == _levels_topological(graph)
-    assert fallbacks == []
+    assert _levels(graph) == expected == _reference_levels(graph)
+    assert sweeps == [graph]
 
 
-def test_levels_fall_back_when_a_group_comes_too_early(fallbacks):
-    # b's group comes before f's, yet f traverses b: the sweep reads f's
-    # level before it is final, and the recomputed level of b differs.
+def test_levels_fall_back_when_a_group_comes_too_early(sweeps):
+    # b's group comes before f's, yet f traverses b: the first sweep reads
+    # f's level before it is final, and the recomputed level of b differs,
+    # so a second sweep runs and settles.
     graph = GradientGraph(("a", "b"), ("f", "g"), (1, 0), (1, 0), (0,), (1,))
-    assert _levels(graph) == {"a": 0, "b": 2, "f": 1, "g": 3}
-    assert fallbacks == [graph]
+    assert _levels(graph) == {"a": 0, "b": 2, "f": 1, "g": 3} == _reference_levels(graph)
+    assert sweeps == [graph, graph]
+
+
+def _shuffled_edges(data, candidates):
+    chosen = sorted(data.draw(st.sets(st.sampled_from(candidates)))) if candidates else []
+    return data.draw(st.permutations(chosen))
+
+
+def _hand_built(link_ids, flow_ids, bneck, trav):
+    return GradientGraph(link_ids, flow_ids,
+                         tuple(l for l, _ in bneck), tuple(f for _, f in bneck),
+                         tuple(f for f, _ in trav), tuple(l for _, l in trav))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_levels_of_hand_built_graphs_in_any_edge_order(data):
+    link_ids = tuple(f"l{i}" for i in range(data.draw(st.integers(1, 5))))
+    flow_ids = tuple(f"f{i}" for i in range(data.draw(st.integers(1, 7))))
+    # Every edge runs forward in a random order of the vertices, so the graph
+    # is a DAG; its edges come in any order, so a link's bottleneck edges
+    # can split across groups, and groups can come before the groups of
+    # their traversal in-flows.
+    order = data.draw(st.permutations(link_ids + flow_ids))
+    rank = {v: r for r, v in enumerate(order)}
+    pairs = [(l, f) for l in range(len(link_ids)) for f in range(len(flow_ids))]
+    bneck = _shuffled_edges(
+        data, [(l, f) for l, f in pairs if rank[link_ids[l]] < rank[flow_ids[f]]])
+    trav = _shuffled_edges(
+        data, [(f, l) for l, f in pairs if rank[flow_ids[f]] < rank[link_ids[l]]])
+    graph = _hand_built(link_ids, flow_ids, bneck, trav)
+    assert _levels(graph) == _reference_levels(graph)
+    if not bneck:
+        return
+    # Plant a cycle: a traversal edge from a bottlenecked flow back to a link
+    # with a path to it.
+    f = data.draw(st.sampled_from(sorted({f for _, f in bneck})))
+    reach, frontier = set(), {f}
+    while frontier:
+        into = {l for l, g in bneck if g in frontier} - reach
+        reach |= into
+        frontier = {g for g, l in trav if l in into}
+    l = data.draw(st.sampled_from(sorted(reach)))
+    at = data.draw(st.integers(0, len(trav)))
+    cyclic = _hand_built(link_ids, flow_ids, bneck, trav[:at] + [(f, l)] + trav[at:])
+    with pytest.raises(SolverError):
+        _levels(cyclic)
+
+
+# -- permutation invariance ----------------------------------------------------
+
+def _renamed(net, rename):
+    return Network(
+        tuple(Link(rename[l.id], l.capacity) for l in net.links),
+        tuple(Flow(rename[f.id], tuple(map(rename.__getitem__, f.path))) for f in net.flows),
+    )
+
+
+@pytest.mark.parametrize("generator", [
+    lambda seed: random_network(seed, 14, 40, 5),
+    lambda seed: _few_capacities(seed, (1.0, 2.0)),
+], ids=["random", "tied"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_solution_is_invariant_under_renaming(generator, seed, data):
+    net = generator(seed)
+    ids = [l.id for l in net.links] + [f.id for f in net.flows]
+    names = data.draw(st.permutations(range(len(ids))))
+    assume(list(names) != sorted(names))
+    rename = {v: f"v{n:03d}" for v, n in zip(ids, names)}
+    a, b = gradient_graph(net), gradient_graph(_renamed(net, rename))
+    assert {rename[f]: r for f, r in a.rate.items()} == b.rate
+    assert {rename[v]: lv for v, lv in a.level.items()} == b.level
+    assert {(rename[l], rename[f]) for l, f in a.graph.bottleneck_edges} == set(
+        b.graph.bottleneck_edges)
+    assert {(rename[f], rename[l]) for f, l in a.graph.traversal_edges} == set(
+        b.graph.traversal_edges)
