@@ -42,12 +42,6 @@ class Link:
     src: Optional[RouterId] = None
     dst: Optional[RouterId] = None
 
-    @property
-    def endpoints(self) -> Optional[tuple[RouterId, RouterId]]:
-        if self.src is None or self.dst is None:
-            return None
-        return (self.src, self.dst)
-
 
 @dataclass(frozen=True, slots=True)
 class Flow:

@@ -8,8 +8,8 @@ style structure collapse into one, by one upward walk over the linear
 pieces of the rates in the scaled capacity: one perturbation of all scaled
 links together per piece. Both verify their predictions by re-solving the
 modified network. ``taper_fold`` interns its base network once and
-re-solves each sampled scale by replacing the scaled links' capacities in
-the interned arrays.
+re-solves the fold by replacing the scaled links' capacities in the
+interned arrays.
 """
 from __future__ import annotations
 
@@ -144,6 +144,8 @@ def accelerate_flow(
     """
     if not network.has_flow(target):
         raise UnknownVertexError(target)
+    if isinstance(low_priority, str):  # it would split into one-letter flow ids
+        raise PlanError("low-priority set must be a collection of flow ids, not a string")
     low = tuple(sorted(set(low_priority)))
     if not low:
         raise PlanError("low-priority set must be non-empty")
@@ -247,10 +249,7 @@ class TaperReport:
     scaled_links: tuple[LinkId, ...]
     level_rates: Mapping[float, tuple[FlowId, ...]]  # base rate -> flows
     level_gradients: Mapping[float, float]  # base rate -> d rate / d spine cap
-    rates_below: Mapping[FlowId, float]
     rates_at: Mapping[FlowId, float]
-    rates_above: Mapping[FlowId, float]
-    slowest_samples: tuple[tuple[float, float], ...]  # (tau, slowest rate)
     # Always "gradient": the walk is the one fold search. Kept while the
     # benchmark harness reads it, in its fingerprint and its trace.
     method: str
@@ -299,14 +298,14 @@ def taper_fold(
     again there. A tie goes to the bands. The fold is checked by a
     re-solve: the band gap there must be zero to 1e-9 of the largest rate.
 
-    The report's rates at, below and above the fold and its samples are
-    kernel re-solves of the tau0 network, interned once, with the scaled
-    links' capacities replaced, of which only the rates are read; each
-    distinct capacity is solved once per call. ``caps`` is this call's own
-    list, so its entries are assigned in place; the inner lists of
-    ``flow_links`` and ``link_flows`` may be shared with the network and
-    are only read.
+    The fold check is the call's one kernel re-solve of the tau0 network,
+    interned once, with the scaled links' capacities set to the fold's; the
+    report's ``rates_at`` are its rates. ``caps`` is this call's own list,
+    so its entries are assigned in place; the inner lists of ``flow_links``
+    and ``link_flows`` may be shared with the network and are only read.
     """
+    if isinstance(scale_links, str):  # it would split into one-letter link ids
+        raise PlanError("scaled links must be a collection of link ids, not a string")
     scale_links = tuple(sorted(set(scale_links)))
     if not scale_links:
         raise PlanError("at least one scaled link is required")
@@ -330,24 +329,6 @@ def taper_fold(
 
     link_ids, flow_ids, caps, flow_links, link_flows = solver.interned(base_net)
     scaled = [bisect_left(link_ids, lid) for lid in scale_links]  # ids are sorted
-
-    # Rates per scaled capacity, for this call only: the tau0 sample, the
-    # fold, ``above_tau`` and a sample at a breakpoint would otherwise
-    # repeat a kernel run. The structure solves give tau0's and the
-    # breakpoints'.
-    solved = {base_cap: list(base.rate.values())}  # ascending flow id
-
-    def rates_at(tau: float) -> list[float]:
-        cap = leaf_capacity * tau
-        rate = solved.get(cap)
-        if rate is None:
-            # Every scaled link gets ``cap``: check it as interning would, at
-            # the first scaled link in id order.
-            check_capacity(scale_links[0], cap)
-            for i in scaled:
-                caps[i] = cap
-            rate = solved[cap] = solver.resolve(caps, flow_links, link_flows)[0]
-        return rate
 
     # Band membership is frozen at tau0; two adjacent bands fold when the
     # upper one's slowest flow meets the lower one's fastest.
@@ -377,7 +358,7 @@ def taper_fold(
     # The walk, in the scaled capacity ``c``: each step takes every flow's
     # line rate + g * dc and ends where the first adjacent-band gap closes
     # or at the next breakpoint, where the structure is solved again.
-    sol, c, tau_star, rate = base, base_cap, tau0, solved[base_cap]
+    sol, c, tau_star, rate = base, base_cap, tau0, list(base.rate.values())
     while band_gap(rate) > 0:
         g = list(up.flow_gradient.values())  # ascending flow id, as ``rate``
         pts = [{(rate[f], g[f]) for f in band} for band in bands]
@@ -415,31 +396,27 @@ def taper_fold(
         c = max(c + step, math.nextafter(c, math.inf))
         tau_star = c / leaf_capacity
         sol = gradient_graph(_scaled(network, scale_links, c))
-        rate = solved[c] = list(sol.rate.values())
+        rate = list(sol.rate.values())
         up = forward_grad(sol, push)
 
-    at = rates_at(tau_star)
+    # The fold check: every scaled link gets the fold's capacity, checked as
+    # interning would at the first scaled link in id order.
+    cap = leaf_capacity * tau_star
+    check_capacity(scale_links[0], cap)
+    for i in scaled:
+        caps[i] = cap
+    at = solver.resolve(caps, flow_links, link_flows)[0]
     gap = band_gap(at)
     if tau_star != tau0 and abs(gap) > 1e-9 * max(at):
         raise PlanError(f"fold verification failed: band gap {gap} at tau*")
 
-    below_tau = 0.5 * (tau0 + tau_star)
-    above_tau = tau_star + 0.5 * (tau_star - tau0)
-    samples = []
-    for i in range(9):
-        tau = tau0 + (above_tau - tau0) * i / 8.0
-        samples.append((tau, min(rates_at(tau))))
-
     return TaperReport(
         tau_star=tau_star,
-        spine_capacity_at_fold=leaf_capacity * tau_star,
+        spine_capacity_at_fold=cap,
         leaf_capacity=leaf_capacity,
         scaled_links=scale_links,
         level_rates=level_rates,
         level_gradients=level_grad,
-        rates_below=dict(zip(flow_ids, rates_at(below_tau))),
         rates_at=dict(zip(flow_ids, at)),
-        rates_above=dict(zip(flow_ids, rates_at(above_tau))),
-        slowest_samples=tuple(samples),
         method="gradient",
     )

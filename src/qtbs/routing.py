@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import solver
 from ._kernel import probe_table
@@ -40,7 +40,6 @@ class RoutePath:
 
     links: tuple[LinkId, ...]
     predicted_rate: float
-    distance: Mapping[RouterId, float]  # router -> 1 / best rate seen
 
 
 def _prober(network: Network) -> Callable[[Sequence[LinkId]], float]:
@@ -170,7 +169,6 @@ def _search(network: Network, source: RouterId, dest: RouterId, rate_on) -> Rout
     return RoutePath(
         links=path_to[dest],
         predicted_rate=best_rate[dest],
-        distance=dict(sorted(dist.items())),
     )
 
 

@@ -28,7 +28,8 @@ class GraphIndex:
     ids: tuple[str, ...]
     index_of: Mapping[str, int]
     n_links: int
-    # Out-neighbours in ascending id order, as ``GradientGraph.successors``.
+    # Out-neighbours (bottleneck, backward and traversal edges) in ascending
+    # id order.
     succ: tuple[tuple[int, ...], ...]
     # A flow's bottleneck links in ascending id order; empty for links.
     bottleneck_links: tuple[tuple[int, ...], ...]
@@ -125,12 +126,6 @@ class GradientGraph:
         )
 
     @cached_property
-    def _succ(self) -> Mapping[str, tuple[str, ...]]:
-        ix = self.index
-        ids = ix.ids
-        return {v: tuple(map(ids.__getitem__, out)) for v, out in zip(ids, ix.succ)}
-
-    @cached_property
     def _pred_links(self) -> Mapping[FlowId, tuple[LinkId, ...]]:
         links = self.link_ids
         pred: list[list[int]] = [[] for _ in self.flow_ids]
@@ -141,27 +136,9 @@ class GradientGraph:
             for f, ls in zip(self.flow_ids, pred)
         }
 
-    def successors(self, vertex: str) -> tuple[str, ...]:
-        """All out-neighbours (bottleneck, backward and traversal edges)."""
-        if vertex not in self._succ:
-            raise UnknownVertexError(vertex)
-        return self._succ[vertex]
-
     def backward_edges(self) -> tuple[tuple[FlowId, LinkId], ...]:
         """Flow-to-bottleneck edges, one per bottleneck edge."""
         return tuple((f, l) for l, f in self.bottleneck_edges)
-
-    def bottlenecked_flows(self, link: LinkId) -> tuple[FlowId, ...]:
-        """Flows with a bottleneck edge from this link (its successors)."""
-        if link not in self._succ:
-            raise UnknownVertexError(link)
-        return self._succ[link]
-
-    def bottleneck_links(self, flow: FlowId) -> tuple[LinkId, ...]:
-        """The flow's bottleneck links (its predecessors)."""
-        if flow not in self._pred_links:
-            raise UnknownVertexError(flow)
-        return self._pred_links[flow]
 
 
 @dataclass(frozen=True)
@@ -175,7 +152,6 @@ class BottleneckSolution:
     graph: GradientGraph
     fair_share: Mapping[LinkId, float]
     rate: Mapping[FlowId, float]
-    pop_order: tuple[LinkId, ...]
     heap_pops: int
     heap_updates: int
 
@@ -201,17 +177,6 @@ class BottleneckSolution:
 
     def is_link(self, vertex: str) -> bool:
         return vertex in self.fair_share
-
-    def is_flow(self, vertex: str) -> bool:
-        return vertex in self.rate
-
-    def value(self, vertex: str) -> float:
-        """Fair share for a link vertex, rate for a flow vertex."""
-        if vertex in self.fair_share:
-            return self.fair_share[vertex]
-        if vertex in self.rate:
-            return self.rate[vertex]
-        raise UnknownVertexError(vertex)
 
 
 def _levels(graph: GradientGraph) -> dict[str, int]:
@@ -282,7 +247,8 @@ def resolve(caps, flow_links, link_flows):
     ``gradient_graph`` is ``interned`` plus this call plus the structure.
     Some callers intern a network and call this on its arrays: routing
     solves the network once and reads its probe table from the output, and
-    ``taper_fold`` re-solves with replaced capacities and reads the rates.
+    ``taper_fold`` re-solves its fold with replaced capacities and reads
+    the rates.
     They call ``solver.interned`` and ``solver.resolve``, the names
     ``gradient_graph`` uses, so every solve goes through one set of names.
     The kernel only reads its arguments; a kernel failure raises
@@ -310,9 +276,7 @@ def gradient_graph(network: Network) -> BottleneckSolution:
     would solve to a wrong answer; see ``interned``.
     """
     link_ids, flow_ids, caps, flow_links, link_flows = interned(network)
-    rate, share, *edges, pop_order, pops, updates = resolve(
-        caps, flow_links, link_flows
-    )
+    rate, share, *edges, _, pops, updates = resolve(caps, flow_links, link_flows)
     link_ids = tuple(link_ids)
     flow_ids = tuple(flow_ids)
     return BottleneckSolution(
@@ -320,7 +284,6 @@ def gradient_graph(network: Network) -> BottleneckSolution:
         graph=GradientGraph(link_ids, flow_ids, *map(tuple, edges)),
         fair_share=dict(zip(link_ids, share)),
         rate=dict(zip(flow_ids, rate)),
-        pop_order=tuple(link_ids[l] for l in pop_order),
         heap_pops=pops,
         heap_updates=updates,
     )

@@ -11,6 +11,13 @@ def load(name):
     return parse_network(FIXTURES.joinpath(name).read_text())
 
 
+def bottlenecked_flows(graph, link):
+    """The flows with a bottleneck edge from ``link``, in ascending id order:
+    the link's successors in the structure's integer index."""
+    ix = graph.index
+    return tuple(ix.ids[w] for w in ix.succ[ix.index_of[link]])
+
+
 def leaf_spine(pods, hosts, leaf):
     """Hosts with one access link each, one spine link per pod, and a flow
     between every ordered pair of hosts (fat_tree.json is the 2 x 2 case)."""

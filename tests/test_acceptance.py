@@ -26,7 +26,7 @@ from qtbs import (
 )
 from qtbs.cli import main as cli_main
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, bottlenecked_flows, load
 
 TOP_FLOWS = ["f1", "f2", "f3", "f4", "f5", "f7", "f8", "f10", "f13", "f14", "f15", "f16"]
 
@@ -94,8 +94,8 @@ def test_criterion_3_fat_tree_tapering():
         ft.with_capacity("l5", 40.0).with_capacity("l6", 40.0)
     )
     tau2_ok = (
-        full.graph.bottlenecked_flows("l5") == ()
-        and full.graph.bottlenecked_flows("l6") == ()
+        bottlenecked_flows(full.graph, "l5") == ()
+        and bottlenecked_flows(full.graph, "l6") == ()
     )
     ok = rates_ok and grads_ok and fold_ok and tau2_ok
     report(3, ok,

@@ -455,7 +455,7 @@ def test_solve_json_builds_no_string_views(capsys, monkeypatch):
     (sol,) = solved
     assert json.loads(out)["bottlenecks_of"]
     assert "bottlenecks_of" not in vars(sol)
-    for view in ("bottleneck_edges", "traversal_edges", "_succ", "_pred_links", "index"):
+    for view in ("bottleneck_edges", "traversal_edges", "_pred_links", "index"):
         assert view not in vars(sol.graph), view
 
 

@@ -28,6 +28,7 @@ from qtbs import (
     taper_fold,
     waterfill,
 )
+from qtbs.model import interned
 from qtbs.planner import _collision_rho, _rate_groups, _scaled, _with_shaper
 from qtbs.solver import region_of_influence
 
@@ -144,6 +145,13 @@ def test_floor_below_or_at_zero_rejected(b4, floor):
     low = ["f2", "f3", "f4", "f5", "f6", "f7", "f8"]
     with pytest.raises(PlanError, match=f"^floor rate must be positive, got {floor}$"):
         accelerate_flow(b4, "f1", low, floor_rate=floor)
+
+
+def test_low_priority_string_rejected():
+    # "g1" is one flow id, not the flows g and 1.
+    with pytest.raises(PlanError, match="^low-priority set must be a collection "
+                       "of flow ids, not a string$"):
+        accelerate_flow(_mixed_level_network(), "h3", "g1")
 
 
 def test_target_in_low_priority_rejected(shaping):
@@ -452,6 +460,17 @@ def test_taper_fold_sweep_cross_check(fat_tree):
     assert abs(tau - report.tau_star) < 0.002
 
 
+def test_taper_refuses_a_string_of_link_ids():
+    # "ab" is one string, not the links a and b.
+    net = Network(
+        (Link("a", 10.0), Link("b", 10.0), Link("c", 30.0)),
+        (Flow("f", ("a", "c")), Flow("g", ("b", "c")), Flow("h", ("c",))),
+    )
+    with pytest.raises(PlanError, match="^scaled links must be a collection of "
+                       "link ids, not a string$"):
+        taper_fold(net, "ab", 10.0)
+
+
 def test_taper_already_folded(fat_tree):
     folded = fat_tree.with_capacity("l5", 40.0).with_capacity("l6", 40.0)
     with pytest.raises(AlreadyFoldedError):
@@ -484,28 +503,16 @@ def test_taper_folds_a_level_with_mixed_derivatives():
 
 
 # -- taper re-solves --------------------------------------------------------
-# ``taper_fold`` samples the rates by kernel re-solves of one interned
-# network. The reference below solves every sample as a fresh
+# ``taper_fold`` checks its fold by a kernel re-solve of one interned
+# network. The reference below solves the fold as a fresh
 # ``gradient_graph(_scaled(...))``, at the report's own tau*.
 
 def _reference_samples(network, scale_links, leaf, tau0, tau_star):
     scale_links = tuple(sorted(set(scale_links)))
-
-    def solve_at(tau):
-        return gradient_graph(_scaled(network, scale_links, leaf * tau)).rate
-
-    below_tau = 0.5 * (tau0 + tau_star)
-    above_tau = tau_star + 0.5 * (tau_star - tau0)
     return {
         "spine_capacity_at_fold": leaf * tau_star,
         "scaled_links": scale_links,
-        "rates_below": solve_at(below_tau),
-        "rates_at": solve_at(tau_star),
-        "rates_above": solve_at(above_tau),
-        "slowest_samples": tuple(
-            (tau, min(solve_at(tau).values()))
-            for tau in (tau0 + (above_tau - tau0) * i / 8.0 for i in range(9))
-        ),
+        "rates_at": gradient_graph(_scaled(network, scale_links, leaf * tau_star)).rate,
     }
 
 
@@ -561,36 +568,44 @@ def _counting_kernel(monkeypatch):
 @pytest.mark.parametrize("pods", [2, 3, 4])
 @pytest.mark.parametrize("hosts", [2, 3, 4])
 def test_leaf_spine_taper_runs_the_kernel_eleven_times(pods, hosts, monkeypatch):
+    # Named for the 11 runs the taper made while it also sampled the rates
+    # below, above and around the fold; it now makes 2.
     net, spines = leaf_spine(pods, hosts, 23.17)
     calls = _counting_kernel(monkeypatch)
     taper_fold(net, spines, 23.17)
-    # base, the fold, below, above and 7 more samples
-    assert len(calls) == 11
+    # the base structure and the fold check
+    assert len(calls) == 2
 
 
 def test_mixed_level_taper_kernel_runs(monkeypatch):
     calls = _counting_kernel(monkeypatch)
     taper_fold(_mixed_level_network(), ["s1"], 10.0)
-    # base, the fold, below, above and 7 more samples: the walk folds
-    # from the base structure's lines, with no breakpoint between
-    assert len(calls) == 11
+    # the base structure and the fold check: the walk folds from the base
+    # structure's lines, with no breakpoint between
+    assert len(calls) == 2
     calls.clear()
     taper_fold(_mixed_level_network(), ["s1"], 10.0, 0.5)
     # and one more where it crosses the breakpoint at s1 = 10
-    assert len(calls) == 12
+    assert len(calls) == 3
 
 
-@pytest.mark.parametrize("tree", ["fat_tree", "leaf_spine_3x2", "mixed_levels"])
+@pytest.mark.parametrize("tree", [
+    "fat_tree", "leaf_spine_3x2", "mixed_levels", "mixed_levels_from_half",
+])
 def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
     import qtbs.solver
 
+    tau0, breakpoints = 1.0, []
     if tree == "fat_tree":
         args = (fat_tree, ["l5", "l6"], 20.0)
-    elif tree == "mixed_levels":
-        args = (_mixed_level_network(), ["s1"], 10.0)
-    else:
+    elif tree == "leaf_spine_3x2":
         net, spines = leaf_spine(3, 2, 23.17)
         args = (net, spines, 23.17)
+    else:
+        args = (_mixed_level_network(), ["s1"], 10.0)
+        if tree == "mixed_levels_from_half":
+            # the walk crosses one breakpoint, where s1's share meets s2's
+            tau0, breakpoints = 0.5, [10.0]
     resolve = qtbs.solver.resolve
     vectors = []
 
@@ -601,9 +616,12 @@ def test_taper_solves_each_capacity_once(tree, fat_tree, monkeypatch):
     # ``gradient_graph`` calls ``resolve`` too, so the structure solve at
     # tau0 is recorded with the re-solves.
     monkeypatch.setattr(qtbs.solver, "resolve", recording_resolve)
-    taper_fold(*args)
-    assert len(vectors) > 2
-    assert len(set(vectors)) == len(vectors)
+    report = taper_fold(*args, tau0)
+    # The base structure, one structure per breakpoint crossed, and the
+    # fold check, each at its own capacity vector.
+    net, scaled, leaf = args
+    caps = [leaf * tau0, *breakpoints, report.spine_capacity_at_fold]
+    assert vectors == [tuple(interned(_scaled(net, scaled, c))[2]) for c in caps]
 
 
 @pytest.mark.parametrize("leaf, tau0, message", [
@@ -636,6 +654,16 @@ def test_taper_scaled_capacity_must_be_finite():
     # With s1 at 1e308, g1 alone rises and the bands only draw apart.
     with pytest.raises(PlanError, match="^no band gap closes while scaling up$"):
         taper_fold(_mixed_level_network(1e308), ["s1"], 1e308)
+
+
+def test_taper_fold_below_an_overflowing_scale():
+    # The 2 x 2 tree at 1.3e308 folds at a finite 1.733e308. Only scales
+    # past the fold overflow (1.5 x 1.3e308 is inf), and the taper solves
+    # none of them.
+    net, spines = leaf_spine(2, 2, 1.3e308)
+    report = taper_fold(net, spines, 1.3e308)
+    assert report.tau_star == 1.3333333333333335
+    assert report.spine_capacity_at_fold == 1.3e308 * report.tau_star
 
 
 def _corpus_case(seed):
